@@ -24,14 +24,6 @@ use std::time::Instant;
 /// The file the results are written to (in the invocation directory).
 const RESULTS_PATH: &str = "BENCH_results.json";
 
-#[derive(Serialize)]
-struct JoinProbeComparison {
-    scenario: String,
-    indexed_probes: u64,
-    scan_probes: u64,
-    reduction_factor: f64,
-}
-
 /// Provenance-store footprint and query latency for one converged scenario:
 /// the interned (fixed-width ids + one-time dictionary) encoding vs. the
 /// string-per-entry encoding it replaced, and the wall-clock of a full
@@ -55,33 +47,6 @@ struct ProvenanceStoreReport {
     query_wall_us_uncached: u64,
     /// Same sweep repeated with the result cache warm.
     query_wall_us_cached: u64,
-}
-
-/// Wire accounting of batched per-destination delta shipping vs the
-/// per-tuple baseline, both measured in the same report run with identical
-/// payload pricing (fixed-width interned records + once-per-destination
-/// dictionary headers). The saving is the amortized per-message framing.
-#[derive(Serialize)]
-struct DeltaShippingReport {
-    scenario: String,
-    /// Protocol messages under batched shipping.
-    messages_sent: u64,
-    /// Delta records those messages carried (coalescing means
-    /// `messages_sent < tuples_shipped`).
-    tuples_shipped: u64,
-    /// Dictionary-header bytes (interned strings shipped once per
-    /// destination on first use).
-    dict_header_bytes: u64,
-    /// Fixed-width record-body bytes (tuple + derivation payloads).
-    body_bytes: u64,
-    /// Total protocol bytes on the wire under batched shipping, including
-    /// per-message network framing headers.
-    batched_total_bytes: u64,
-    /// Total protocol bytes for the same workload shipped one message per
-    /// tuple (same payload accounting, one framing header per record).
-    per_tuple_total_bytes: u64,
-    /// `per_tuple_total_bytes / batched_total_bytes`.
-    reduction_factor: f64,
 }
 
 /// One row of the sharded-maintenance scaling sweep: the same synthetic
@@ -153,44 +118,6 @@ struct ParallelFixpointReport {
     speedup_vs_w1: f64,
     /// True when the run's outputs, tables and counters equal the W=1 run's.
     matches_w1: bool,
-}
-
-/// One row of the columnar-storage comparison: the same workload evaluated
-/// by a row-backed and a columnar-backed engine at one worker count.
-/// Determinism is part of the measurement: `matches_row` asserts the
-/// columnar run's outputs, final tables and engine counters (`join_probes`
-/// included — the vectorized probe kernel must yield exactly the candidates
-/// the row store yields) are bit-identical to the row run, so CI can gate on
-/// any divergence. The join-kernel scenario rows carry the speedup gate;
-/// the platform convergence rows are informational (their wall-clock mixes
-/// network simulation and provenance capture into the join phase).
-#[derive(Serialize)]
-struct VectorizedJoinReport {
-    scenario: String,
-    /// `fixpoint_workers` of both runs in this row.
-    workers: usize,
-    /// Wall-clock microseconds, row-major reference layout.
-    row_wall_us: u64,
-    /// Wall-clock microseconds, columnar layout + vectorized probe kernel.
-    columnar_wall_us: u64,
-    /// `row_wall_us / columnar_wall_us`.
-    speedup_columnar: f64,
-    /// Resident table bytes under the row layout (tuple + derivation
-    /// records priced like their wire encoding, 8-byte posting entries).
-    row_bytes: usize,
-    /// Resident table bytes under the columnar layout (dictionary-encoded
-    /// address columns, 4-byte posting entries).
-    columnar_bytes: usize,
-    /// Cores available to the run (`std::thread::available_parallelism`).
-    /// CI gates the speedup only when this is ≥ 4 (below that the host
-    /// measures scheduling noise, not the kernel).
-    host_parallelism: usize,
-    /// True when the columnar run is bit-identical to the row run.
-    matches_row: bool,
-    /// True when this row participates in the CI speedup gate (the W=1
-    /// join-kernel measurement; parallel and platform rows are reported but
-    /// not gated).
-    gate_speedup: bool,
 }
 
 /// One row of the distributed query fan-out comparison: the *same* lineage
@@ -385,15 +312,9 @@ struct BenchResults {
     experiment_wall_ms: Vec<(String, u64)>,
     /// The experiment tables themselves.
     tables: Vec<ReportTable>,
-    /// Join-candidate counts for the planned, index-backed pipeline vs the
-    /// full-scan baseline on the standard convergence scenarios.
-    join_probes: Vec<JoinProbeComparison>,
     /// Provenance-store bytes (interned vs string encoding) and query
     /// wall-clock on the standard scenarios.
     provenance_stores: Vec<ProvenanceStoreReport>,
-    /// Batched delta shipping vs per-tuple baseline on the standard
-    /// scenarios.
-    delta_shipping: Vec<DeltaShippingReport>,
     /// Sharded provenance maintenance: shard-count sweep (S ∈ {1, 2, 4, 8})
     /// over a synthetic maintenance stream, with wall-clock, cross-shard
     /// exchange counts and the determinism check.
@@ -403,11 +324,6 @@ struct BenchResults {
     /// bit-identical-output check. CI gates `matches_w1` on every row and
     /// the W=4 speedup on multi-core hosts.
     parallel_fixpoint: Vec<ParallelFixpointReport>,
-    /// Columnar vs row-major table storage: a probe-heavy join kernel
-    /// (W ∈ {1, 4}) plus scaled pathvector/mincost ladder convergences,
-    /// each run under both backings. CI gates `matches_row` on every row
-    /// and the W=1 kernel speedup on ≥4-core hosts.
-    vectorized_joins: Vec<VectorizedJoinReport>,
     /// Distributed query fan-out: DFS vs BFS message-driven sessions on the
     /// standard scenarios, with measured (simulated-clock) latency. CI gates
     /// `bfs_beats_dfs`.
@@ -512,29 +428,6 @@ fn provenance_store_report(name: &str, program: &str, topology: Topology) -> Pro
         bytes_reduction_factor: string_bytes as f64 / stats.bytes.max(1) as f64,
         query_wall_us_uncached,
         query_wall_us_cached,
-    }
-}
-
-fn delta_shipping_report(name: &str, program: &str, topology: Topology) -> DeltaShippingReport {
-    let run = |config: NetTrailsConfig| {
-        let mut nt = NetTrails::new(program, topology.clone(), config).expect("program compiles");
-        nt.seed_links_from_topology();
-        nt.run_to_fixpoint();
-        nt.stats()
-    };
-    let batched = run(NetTrailsConfig::default());
-    let per_tuple = run(NetTrailsConfig::without_batching());
-    let batched_total_bytes = batched.network.bytes;
-    let per_tuple_total_bytes = per_tuple.network.bytes;
-    DeltaShippingReport {
-        scenario: name.to_string(),
-        messages_sent: batched.network.messages,
-        tuples_shipped: batched.network.records,
-        dict_header_bytes: batched.engine.dict_bytes_sent,
-        body_bytes: batched.engine.bytes_sent - batched.engine.dict_bytes_sent,
-        batched_total_bytes,
-        per_tuple_total_bytes,
-        reduction_factor: per_tuple_total_bytes as f64 / batched_total_bytes.max(1) as f64,
     }
 }
 
@@ -759,169 +652,6 @@ fn parallel_fixpoint_sweep(
     reports
 }
 
-/// Build a single engine over the probe-heavy join kernel with the given
-/// backing, evaluate the measured generation and return the run's outputs
-/// plus the wall-clock and resident table bytes. The kernel joins on two
-/// columns: the anchor posting list holds `fanout` candidates per probe and
-/// the residual bound column keeps one in `selectivity` of them, so most of
-/// the work is candidate filtering — the row store resolves every posting
-/// entry through a hash + tree lookup where the columnar kernel compares a
-/// stored column cell in place.
-#[allow(clippy::type_complexity)]
-fn join_kernel_run(
-    program: &Arc<CompiledProgram>,
-    columnar: bool,
-    workers: usize,
-    probes: usize,
-    keys: usize,
-    fanout: usize,
-    selectivity: usize,
-) -> (StepOutput, Vec<String>, EngineStats, u64, usize) {
-    let mut config = EngineConfig::new("n1").with_fixpoint_workers(workers);
-    if !columnar {
-        config = config.with_row_storage();
-    }
-    let mut engine = NodeEngine::new(program.clone(), config);
-    // Pre-load the probe side; its generation joins against an empty `e`
-    // and commits nothing, leaving the tables converged.
-    for b in 0..keys {
-        for c in 0..fanout {
-            engine.insert_base(Tuple::new(
-                "f",
-                vec![
-                    Value::addr("n1"),
-                    Value::Int(b as i64),
-                    Value::Int(c as i64),
-                    Value::Int((c % selectivity) as i64),
-                ],
-            ));
-        }
-    }
-    engine.run();
-    // The measured generation: every `e` insert probes one `fanout`-sized
-    // posting list and the residual bound column keeps `fanout/selectivity`
-    // of the candidates.
-    for a in 0..probes {
-        engine.insert_base(Tuple::new(
-            "e",
-            vec![
-                Value::addr("n1"),
-                Value::Int(a as i64),
-                Value::Int((a % keys) as i64),
-                Value::Int(0),
-            ],
-        ));
-    }
-    let start = Instant::now();
-    let out = engine.run();
-    let wall_us = start.elapsed().as_micros() as u64;
-    let mut table_dump: Vec<String> = engine
-        .database()
-        .tables()
-        .flat_map(|t| t.iter().map(|s| format!("{:?}", s.to_stored())))
-        .collect();
-    table_dump.sort();
-    let bytes = engine.database().storage_bytes();
-    let stats = engine.stats().clone();
-    (out, table_dump, stats, wall_us, bytes)
-}
-
-/// The join-kernel rows of the columnar comparison: W ∈ {1, 4}, both
-/// backings per row, bit-identical outputs checked within the row.
-fn vectorized_join_kernel_sweep(
-    scenario: &str,
-    probes: usize,
-    keys: usize,
-    fanout: usize,
-    selectivity: usize,
-) -> Vec<VectorizedJoinReport> {
-    let program = Arc::new(
-        CompiledProgram::from_source("r1 out(@S,A,C) :- e(@S,A,B,D), f(@S,B,C,D).")
-            .expect("program compiles"),
-    );
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let mut reports = Vec::new();
-    for workers in [1usize, 4] {
-        let row = join_kernel_run(&program, false, workers, probes, keys, fanout, selectivity);
-        let col = join_kernel_run(&program, true, workers, probes, keys, fanout, selectivity);
-        let matches_row = row.0 == col.0 && row.1 == col.1 && row.2 == col.2;
-        reports.push(VectorizedJoinReport {
-            scenario: scenario.to_string(),
-            workers,
-            row_wall_us: row.3,
-            columnar_wall_us: col.3,
-            speedup_columnar: row.3 as f64 / col.3.max(1) as f64,
-            row_bytes: row.4,
-            columnar_bytes: col.4,
-            host_parallelism,
-            matches_row,
-            gate_speedup: workers == 1,
-        });
-    }
-    reports
-}
-
-/// One platform-convergence row of the columnar comparison: the same
-/// protocol run to fixpoint on the same topology under both backings, with
-/// the engines' relation contents, aggregated engine counters and the
-/// provenance content digest compared bit for bit.
-fn vectorized_join_platform_row(
-    name: &str,
-    program: &str,
-    topology: Topology,
-    workers: usize,
-) -> VectorizedJoinReport {
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let run = |columnar: bool| {
-        let mut config = if columnar {
-            NetTrailsConfig::default()
-        } else {
-            NetTrailsConfig::with_row_storage()
-        };
-        config.fixpoint_workers = workers;
-        let mut nt = NetTrails::new(program, topology.clone(), config).expect("program compiles");
-        nt.seed_links_from_topology();
-        let start = Instant::now();
-        nt.run_to_fixpoint();
-        let wall_us = start.elapsed().as_micros() as u64;
-        let mut dump: Vec<String> = Vec::new();
-        let mut bytes = 0usize;
-        for node in topology.nodes() {
-            let engine = nt.engine(node).expect("engine exists");
-            bytes += engine.database().storage_bytes();
-            dump.extend(
-                engine
-                    .database()
-                    .tables()
-                    .flat_map(|t| t.iter().map(|s| format!("{node} {:?}", s.to_stored()))),
-            );
-        }
-        dump.sort();
-        let digest = nt.provenance().content_digest();
-        let stats = nt.stats().engine.clone();
-        (dump, stats, digest, wall_us, bytes)
-    };
-    let row = run(false);
-    let col = run(true);
-    let matches_row = row.0 == col.0 && row.1 == col.1 && row.2 == col.2;
-    VectorizedJoinReport {
-        scenario: name.to_string(),
-        workers,
-        row_wall_us: row.3,
-        columnar_wall_us: col.3,
-        speedup_columnar: row.3 as f64 / col.3.max(1) as f64,
-        row_bytes: row.4,
-        columnar_bytes: col.4,
-        host_parallelism,
-        matches_row,
-        gate_speedup: false,
-    }
-}
-
 /// Run the deepest lineage query of a scenario as a distributed session
 /// under one traversal order, on a fresh converged platform (cold
 /// per-destination dictionaries), and report the proof depth plus the
@@ -974,23 +704,6 @@ fn query_fanout_report(name: &str, program: &str, topology: Topology) -> QueryFa
         bfs_latency_ms: bfs.latency_ms,
         fanout_speedup: dfs.latency_ms / bfs.latency_ms.max(f64::EPSILON),
         bfs_beats_dfs: bfs.latency_ms <= dfs.latency_ms,
-    }
-}
-
-fn probe_comparison(name: &str, program: &str, topology: Topology) -> JoinProbeComparison {
-    let converge = |config: NetTrailsConfig| -> u64 {
-        let mut nt = NetTrails::new(program, topology.clone(), config).expect("program compiles");
-        nt.seed_links_from_topology();
-        nt.run_to_fixpoint();
-        nt.stats().engine.join_probes
-    };
-    let indexed_probes = converge(NetTrailsConfig::default());
-    let scan_probes = converge(NetTrailsConfig::without_join_indexes());
-    JoinProbeComparison {
-        scenario: name.to_string(),
-        indexed_probes,
-        scan_probes,
-        reduction_factor: scan_probes as f64 / indexed_probes.max(1) as f64,
     }
 }
 
@@ -1202,26 +915,6 @@ fn main() {
         tables.push(table);
     }
 
-    let join_probes = vec![
-        probe_comparison(
-            "pathvector_ladder4 (query_optimizations scenario)",
-            protocols::pathvector::PROGRAM,
-            Topology::ladder(4),
-        ),
-        probe_comparison(
-            "mincost_ladder4 (maintenance_overhead scenario)",
-            protocols::mincost::PROGRAM,
-            Topology::ladder(4),
-        ),
-    ];
-    println!("Join-probe comparison (indexed vs full-scan baseline):");
-    for cmp in &join_probes {
-        println!(
-            "  {:50} indexed={:>9} scan={:>9} ({:.1}x fewer candidates)",
-            cmp.scenario, cmp.indexed_probes, cmp.scan_probes, cmp.reduction_factor
-        );
-    }
-
     let provenance_stores = vec![
         provenance_store_report(
             "pathvector_ladder4",
@@ -1246,34 +939,6 @@ fn main() {
             r.bytes_reduction_factor,
             r.query_wall_us_uncached,
             r.query_wall_us_cached,
-        );
-    }
-
-    let delta_shipping = vec![
-        delta_shipping_report(
-            "pathvector_ladder4",
-            protocols::pathvector::PROGRAM,
-            Topology::ladder(4),
-        ),
-        delta_shipping_report(
-            "mincost_ladder4",
-            protocols::mincost::PROGRAM,
-            Topology::ladder(4),
-        ),
-    ];
-    println!("\nDelta shipping (batched per-destination vs per-tuple baseline):");
-    for r in &delta_shipping {
-        println!(
-            "  {:20} msgs={:>6} tuples={:>6} dict={:>6}B body={:>8}B \
-             batched={:>8}B per-tuple={:>8}B ({:.2}x fewer bytes)",
-            r.scenario,
-            r.messages_sent,
-            r.tuples_shipped,
-            r.dict_header_bytes,
-            r.body_bytes,
-            r.batched_total_bytes,
-            r.per_tuple_total_bytes,
-            r.reduction_factor,
         );
     }
 
@@ -1310,40 +975,6 @@ fn main() {
             r.host_parallelism,
             r.pool_workers,
             r.matches_w1,
-        );
-    }
-
-    let mut vectorized_joins =
-        vectorized_join_kernel_sweep("filtered_join_2048x256", 2048, 16, 256, 16);
-    for workers in [1usize, 4] {
-        vectorized_joins.push(vectorized_join_platform_row(
-            "pathvector_ladder6",
-            protocols::pathvector::PROGRAM,
-            Topology::ladder(6),
-            workers,
-        ));
-        vectorized_joins.push(vectorized_join_platform_row(
-            "mincost_ladder8",
-            protocols::mincost::PROGRAM,
-            Topology::ladder(8),
-            workers,
-        ));
-    }
-    println!("\nVectorized joins (columnar vs row-major table storage):");
-    for r in &vectorized_joins {
-        println!(
-            "  {:24} W={:1} row={:>8}us columnar={:>8}us ({:>4.2}x, {} core(s)) \
-             bytes row={:>8} columnar={:>8} identical={} gated={}",
-            r.scenario,
-            r.workers,
-            r.row_wall_us,
-            r.columnar_wall_us,
-            r.speedup_columnar,
-            r.host_parallelism,
-            r.row_bytes,
-            r.columnar_bytes,
-            r.matches_row,
-            r.gate_speedup,
         );
     }
 
@@ -1501,15 +1132,12 @@ fn main() {
     }
 
     let results = BenchResults {
-        format: "nettrails-bench-results/v10".to_string(),
+        format: "nettrails-bench-results/v11".to_string(),
         experiment_wall_ms,
         tables,
-        join_probes,
         provenance_stores,
-        delta_shipping,
         sharded_provenance,
         parallel_fixpoint,
-        vectorized_joins,
         query_fanout,
         snapshot_replay,
         scenario_suite,

@@ -1,8 +1,8 @@
 //! The NetTrails platform: engines + network + provenance, orchestrated.
 
 use nt_runtime::{
-    Addr, CompiledProgram, Delta, DeltaBatch, Derivation, EngineConfig, EngineStats, Firing,
-    NodeEngine, Tuple, TupleId,
+    Addr, CompiledProgram, Delta, DeltaBatch, EngineConfig, EngineStats, Firing, NodeEngine, Tuple,
+    TupleId,
 };
 use provenance::{
     ProvGraph, ProvenanceSystem, QueryBatch, QueryEngine, QueryExecutor, QueryHandle, QueryKind,
@@ -18,23 +18,16 @@ use std::sync::Arc;
 pub const PROTOCOL_CATEGORY: &str = "protocol";
 
 /// The payload carried by simulator messages between NetTrails nodes.
+/// Every variant is a batch: fixed-width records behind one network framing
+/// header and a first-use dictionary header.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NetMessage {
-    /// An inserted or deleted tuple together with the derivation that
-    /// justifies it — the per-tuple wire format, kept as the measurable
-    /// baseline batched shipping is compared against
-    /// (`NetTrailsConfig::without_batching`).
-    Delta {
-        /// The change.
-        delta: Delta,
-        /// Why it holds (stored by the receiving engine; used for retraction).
-        derivation: Derivation,
-    },
     /// One engine round's deltas for a single destination: fixed-width
-    /// records plus the shared dictionary header carrying the strings this
-    /// destination has not been sent before. Priced as
-    /// `header_bytes + Σ record bytes`, with one network framing header for
-    /// the whole batch.
+    /// records (each an inserted or deleted tuple plus the derivation that
+    /// justifies it, which the receiving engine stores for retraction) and
+    /// the shared dictionary header carrying the strings this destination
+    /// has not been sent before. Priced as `header_bytes + Σ record bytes`,
+    /// with one network framing header for the whole batch.
     DeltaBatch {
         /// The coalesced batch.
         batch: DeltaBatch,
@@ -56,7 +49,11 @@ pub enum NetMessage {
     },
 }
 
-/// Platform configuration.
+/// Platform configuration. Every engine stores its tables column-major,
+/// joins through posting-list probes and ships its deltas as one
+/// [`NetMessage::DeltaBatch`] per (round, destination); these fields tune
+/// provenance capture, parallelism, limits and query framing around that
+/// single path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetTrailsConfig {
     /// Capture provenance while the protocol runs (disable to measure the
@@ -67,16 +64,6 @@ pub struct NetTrailsConfig {
     /// Safety cap on the number of engine/network rounds per
     /// [`NetTrails::run_to_fixpoint`] call.
     pub max_rounds: usize,
-    /// Let engines probe secondary indexes through their join plans (the
-    /// default). Disable for the reference full-scan evaluation used by the
-    /// join-probe regression experiments.
-    pub use_join_indexes: bool,
-    /// Ship engine outboxes as one [`NetMessage::DeltaBatch`] per
-    /// (round, destination) — the default. Disable for the per-tuple
-    /// baseline (one `NetMessage::Delta` per record) the delta-shipping
-    /// experiment compares against; payload pricing is identical in both
-    /// modes, so the difference is purely per-message framing overhead.
-    pub batch_shipping: bool,
     /// Tolerate deltas addressed to nodes that do not exist (they are
     /// counted in [`RunReport::misrouted`] and dropped). By default a
     /// misrouted delta fails loudly in debug builds — it means the program
@@ -100,11 +87,6 @@ pub struct NetTrailsConfig {
     /// `0` forces every parallel-configured generation through the pool —
     /// used by the end-to-end equivalence tests.
     pub fixpoint_dispatch_threshold: usize,
-    /// Store engine tables column-major with dictionary-encoded address
-    /// columns and vectorized join probes (the default). Disable for the
-    /// row-major reference layout; either backing yields bit-identical
-    /// engine output (see `nt_runtime::store`).
-    pub columnar_storage: bool,
     /// Merge concurrent query sessions' records into one frame per
     /// (source, destination, direction) at each flush, sharing one first-use
     /// dictionary charge (`QueryExecutor::set_frame_merging`). Off by
@@ -121,13 +103,10 @@ impl Default for NetTrailsConfig {
             capture_provenance: true,
             network: NetworkConfig::default(),
             max_rounds: 1_000_000,
-            use_join_indexes: true,
-            batch_shipping: true,
             tolerate_misrouted: false,
             prov_shards: 1,
             fixpoint_workers: 1,
             fixpoint_dispatch_threshold: nt_runtime::FIXPOINT_DISPATCH_THRESHOLD,
-            columnar_storage: true,
             merge_query_frames: false,
         }
     }
@@ -138,34 +117,6 @@ impl NetTrailsConfig {
     pub fn without_provenance() -> Self {
         NetTrailsConfig {
             capture_provenance: false,
-            ..NetTrailsConfig::default()
-        }
-    }
-
-    /// A configuration whose engines evaluate joins by full scans (the
-    /// pre-index baseline).
-    pub fn without_join_indexes() -> Self {
-        NetTrailsConfig {
-            use_join_indexes: false,
-            ..NetTrailsConfig::default()
-        }
-    }
-
-    /// A configuration that ships one message per tuple (the pre-batching
-    /// baseline the delta-shipping experiment compares against).
-    pub fn without_batching() -> Self {
-        NetTrailsConfig {
-            batch_shipping: false,
-            ..NetTrailsConfig::default()
-        }
-    }
-
-    /// A configuration whose engines keep tuples in the row-major reference
-    /// layout (the pre-columnar baseline the vectorized-join experiment
-    /// compares against).
-    pub fn with_row_storage() -> Self {
-        NetTrailsConfig {
-            columnar_storage: false,
             ..NetTrailsConfig::default()
         }
     }
@@ -276,10 +227,8 @@ impl NetTrails {
         let mut engines = BTreeMap::new();
         for node in topology.nodes() {
             let mut engine_config = EngineConfig::new(node);
-            engine_config.use_join_indexes = config.use_join_indexes;
             engine_config.fixpoint_workers = config.fixpoint_workers.max(1);
             engine_config.fixpoint_dispatch_threshold = config.fixpoint_dispatch_threshold;
-            engine_config.columnar_storage = config.columnar_storage;
             engines.insert(
                 Addr::new(node),
                 NodeEngine::new(program.clone(), engine_config),
@@ -463,41 +412,19 @@ impl NetTrails {
                         continue;
                     }
                     let dest = batch.dest;
-                    if self.config.batch_shipping {
-                        // One message per (round, dest), priced as the
-                        // engine accounted it: dictionary header + n
-                        // fixed-width record bodies.
-                        let bytes = batch.wire_size();
-                        let records = batch.len();
-                        self.network.send_batch(
-                            node,
-                            dest,
-                            NetMessage::DeltaBatch { batch },
-                            bytes,
-                            records,
-                            PROTOCOL_CATEGORY,
-                        );
-                    } else {
-                        // Per-tuple baseline: one message per record. The
-                        // batch's dictionary header still has to reach the
-                        // destination exactly once; charge it to the first
-                        // record's message so total payload bytes match the
-                        // engine's accounting in both modes.
-                        let mut dict_bytes = batch.header_bytes();
-                        for record in batch.records {
-                            let bytes = record.wire_size() + std::mem::take(&mut dict_bytes);
-                            self.network.send(
-                                node,
-                                dest,
-                                NetMessage::Delta {
-                                    delta: record.delta,
-                                    derivation: record.derivation,
-                                },
-                                bytes,
-                                PROTOCOL_CATEGORY,
-                            );
-                        }
-                    }
+                    // One message per (round, dest), priced as the engine
+                    // accounted it: dictionary header + n fixed-width
+                    // record bodies.
+                    let bytes = batch.wire_size();
+                    let records = batch.len();
+                    self.network.send_batch(
+                        node,
+                        dest,
+                        NetMessage::DeltaBatch { batch },
+                        bytes,
+                        records,
+                        PROTOCOL_CATEGORY,
+                    );
                 }
             }
             if !round_firings.is_empty() {
@@ -797,28 +724,18 @@ impl NetTrails {
                 let now = self.network.now();
                 self.query_executor.deliver(&self.provenance, batch, now);
             }
-            payload => {
+            NetMessage::DeltaBatch { batch } => {
                 let Some(engine) = self.engines.get_mut(&delivered.to) else {
                     report.misrouted += 1;
                     debug_assert!(
                         self.config.tolerate_misrouted,
-                        "message misrouted to unknown node {} (payload {:?})",
-                        delivered.to, payload
+                        "delta batch misrouted to unknown node {} ({batch:?})",
+                        delivered.to
                     );
                     return;
                 };
-                match payload {
-                    NetMessage::Delta { delta, derivation } => {
-                        engine.apply_remote(delta, derivation)
-                    }
-                    NetMessage::DeltaBatch { batch } => {
-                        for record in batch.records {
-                            engine.apply_remote(record.delta, record.derivation);
-                        }
-                    }
-                    NetMessage::QueryRequest { .. } | NetMessage::QueryResponse { .. } => {
-                        unreachable!("query frames are dispatched above")
-                    }
+                for record in batch.records {
+                    engine.apply_remote(record.delta, record.derivation);
                 }
             }
         }
@@ -1536,79 +1453,76 @@ mod tests {
 
     /// The engine is the single source of truth for protocol payload bytes:
     /// what the network charged (minus its per-message framing headers) must
-    /// equal `EngineStats::bytes_sent` exactly — in both shipping modes.
+    /// equal `EngineStats::bytes_sent` exactly.
     #[test]
     fn engine_bytes_equal_network_bytes() {
-        for config in [
-            NetTrailsConfig::default(),
-            NetTrailsConfig::without_batching(),
-        ] {
-            let header = config.network.header_bytes as u64;
-            let mut nt =
-                NetTrails::new(protocols::mincost::PROGRAM, Topology::ladder(3), config).unwrap();
-            nt.seed_links_from_topology();
-            nt.run_to_fixpoint();
-            let stats = nt.stats();
-            let msgs = stats.network.category_messages(PROTOCOL_CATEGORY);
-            let payload = stats.network.category_bytes(PROTOCOL_CATEGORY) - msgs * header;
-            assert_eq!(
-                stats.engine.bytes_sent, payload,
-                "engine accounting must match the network charge"
-            );
-            assert_eq!(stats.engine.tuples_sent, stats.network.records);
-        }
+        let config = NetTrailsConfig::default();
+        let header = config.network.header_bytes as u64;
+        let mut nt =
+            NetTrails::new(protocols::mincost::PROGRAM, Topology::ladder(3), config).unwrap();
+        nt.seed_links_from_topology();
+        nt.run_to_fixpoint();
+        let stats = nt.stats();
+        let msgs = stats.network.category_messages(PROTOCOL_CATEGORY);
+        let payload = stats.network.category_bytes(PROTOCOL_CATEGORY) - msgs * header;
+        assert_eq!(
+            stats.engine.bytes_sent, payload,
+            "engine accounting must match the network charge"
+        );
+        assert_eq!(stats.engine.tuples_sent, stats.network.records);
     }
 
     /// Batched shipping actually coalesces: fewer protocol messages than
-    /// shipped records, and fewer total protocol bytes than the per-tuple
-    /// baseline (per-message framing headers are paid once per batch).
+    /// shipped records, and fewer total protocol bytes than one framed
+    /// message per record would cost (per-message framing headers are paid
+    /// once per batch).
     #[test]
     fn batching_coalesces_messages_and_reduces_bytes() {
-        let run = |config: NetTrailsConfig| {
-            let mut nt =
-                NetTrails::new(protocols::pathvector::PROGRAM, Topology::ladder(3), config)
-                    .unwrap();
-            nt.seed_links_from_topology();
-            nt.run_to_fixpoint();
-            nt.stats()
-        };
-        let batched = run(NetTrailsConfig::default());
-        let per_tuple = run(NetTrailsConfig::without_batching());
+        let config = NetTrailsConfig::default();
+        let header = config.network.header_bytes as u64;
+        let mut nt =
+            NetTrails::new(protocols::pathvector::PROGRAM, Topology::ladder(3), config).unwrap();
+        nt.seed_links_from_topology();
+        nt.run_to_fixpoint();
+        let stats = nt.stats();
         assert!(
-            batched.network.messages < batched.network.records,
+            stats.network.messages < stats.network.records,
             "coalescing happened: {} messages carried {} records",
-            batched.network.messages,
-            batched.network.records,
+            stats.network.messages,
+            stats.network.records,
         );
-        assert_eq!(per_tuple.network.messages, per_tuple.network.records);
-        // Identical engine work and payload in both modes...
-        assert_eq!(batched.engine.tuples_sent, per_tuple.engine.tuples_sent);
-        assert_eq!(batched.engine.bytes_sent, per_tuple.engine.bytes_sent);
-        // ... so the byte saving is exactly the amortized framing headers.
+        // The same payload framed once per record.
+        let one_message_per_record = stats.engine.bytes_sent + stats.network.records * header;
+        assert_eq!(
+            stats.network.bytes,
+            stats.engine.bytes_sent + stats.network.messages * header
+        );
         assert!(
-            batched.network.bytes < per_tuple.network.bytes,
-            "batched {} >= per-tuple {}",
-            batched.network.bytes,
-            per_tuple.network.bytes,
+            stats.network.bytes < one_message_per_record,
+            "batched {} >= one message per record {}",
+            stats.network.bytes,
+            one_message_per_record,
         );
     }
 
-    /// Both shipping modes converge to identical protocol state.
+    /// Batched shipping converges to the protocol state a from-scratch
+    /// recomputation reaches, before and after a link failure.
     #[test]
-    fn batched_and_per_tuple_shipping_reach_the_same_fixpoint() {
-        let run = |config: NetTrailsConfig| {
-            let mut nt =
-                NetTrails::new(protocols::mincost::PROGRAM, Topology::ring(5), config).unwrap();
-            nt.seed_links_from_topology();
-            nt.run_to_fixpoint();
+    fn batched_shipping_reaches_the_recomputed_fixpoint() {
+        let min_cost = |nt: &NetTrails| {
             let mut rows = nt.relation("minCost");
             rows.sort_by_key(|(n, t)| (*n, t.to_string()));
             rows
         };
-        assert_eq!(
-            run(NetTrailsConfig::default()),
-            run(NetTrailsConfig::without_batching())
-        );
+        let mut nt = mincost_on(Topology::ring(5));
+        let (fresh, _) = nt.recompute_from_scratch().unwrap();
+        assert_eq!(min_cost(&nt), min_cost(&fresh));
+        nt.apply_topology_event(&TopologyEvent::LinkDown {
+            a: "n1".into(),
+            b: "n2".into(),
+        });
+        let (fresh, _) = nt.recompute_from_scratch().unwrap();
+        assert_eq!(min_cost(&nt), min_cost(&fresh));
     }
 
     /// Sharded provenance maintenance is invisible to the result: sorted

@@ -42,8 +42,7 @@ pub enum BoundTerm {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProbeStrategy {
     /// No column is bound when the step runs: the probe degrades to a
-    /// key-order scan of the whole table (a contiguous column sweep in the
-    /// columnar backing).
+    /// key-order scan of the whole table.
     ColumnScan,
     /// At least one bound column: the probe anchors on the most selective
     /// posting list among them and verifies the residual bound columns

@@ -48,7 +48,7 @@ use crate::eval::{literal_value, Bindings};
 use crate::morsel::{self, Candidate, EvalContext, MonoTask};
 #[cfg(test)]
 use crate::store::BASE_RULE;
-use crate::store::{base_rule_sym, Database, Derivation, Membership, TableBacking};
+use crate::store::{base_rule_sym, Database, Derivation, Membership};
 use crate::tuple::{Delta, Tuple, TupleId};
 use crate::value::{Addr, Sym, Value};
 use ndlog::{AggregateFunc, Literal, Predicate, Term};
@@ -68,11 +68,6 @@ pub struct EngineConfig {
     /// Safety cap on the number of deltas processed by a single [`NodeEngine::run`]
     /// call; prevents a diverging program from hanging the simulator.
     pub max_deltas_per_run: usize,
-    /// Use the precomputed join plans' bound columns to probe secondary
-    /// indexes (the default). When disabled every join step scans its whole
-    /// table — kept as the reference path for equivalence tests and as the
-    /// baseline the index regression tests compare against.
-    pub use_join_indexes: bool,
     /// Worker-pool parallelism for the morsel-driven fixpoint: the maximum
     /// number of [`nt_pool`] workers a generation's monotonic trigger tasks
     /// are spread across. `1` (the default) evaluates every generation
@@ -85,11 +80,6 @@ pub struct EngineConfig {
     /// uses), so small generations run inline even when
     /// [`EngineConfig::fixpoint_workers`] > 1.
     pub fixpoint_dispatch_threshold: usize,
-    /// Store tables column-major (the default). When disabled the engine
-    /// keeps the row-major reference layout — used by the equivalence
-    /// proptests and the `vectorized_joins` benchmark, which prove both
-    /// backings bit-identical and measure the wall-clock gap.
-    pub columnar_storage: bool,
 }
 
 /// Default for [`EngineConfig::fixpoint_dispatch_threshold`].
@@ -101,18 +91,9 @@ impl EngineConfig {
         EngineConfig {
             node: node.into(),
             max_deltas_per_run: 1_000_000,
-            use_join_indexes: true,
             fixpoint_workers: 1,
             fixpoint_dispatch_threshold: FIXPOINT_DISPATCH_THRESHOLD,
-            columnar_storage: true,
         }
-    }
-
-    /// Same config with index-backed probing switched off (reference
-    /// full-scan evaluation).
-    pub fn without_indexes(mut self) -> Self {
-        self.use_join_indexes = false;
-        self
     }
 
     /// Same config evaluating each generation's monotonic trigger tasks with
@@ -127,13 +108,6 @@ impl EngineConfig {
     /// equivalence tests to exercise the dispatch path on tiny inputs).
     pub fn with_fixpoint_dispatch_threshold(mut self, threshold: usize) -> Self {
         self.fixpoint_dispatch_threshold = threshold;
-        self
-    }
-
-    /// Same config storing tables in the row-major reference layout instead
-    /// of the columnar default.
-    pub fn with_row_storage(mut self) -> Self {
-        self.columnar_storage = false;
         self
     }
 }
@@ -159,11 +133,10 @@ pub struct EngineStats {
     /// once per (destination, first use).
     pub dict_bytes_sent: u64,
     /// Candidate tuples actually examined while joining body atoms,
-    /// checking negated atoms and recomputing aggregate groups. With
-    /// index-backed probing this counts only the tuples the probe kernel
-    /// yields — the anchor posting list already filtered on every bound
-    /// column — and is identical across storage backings; with scans it
-    /// counts every stored tuple visited.
+    /// checking negated atoms and recomputing aggregate groups. This counts
+    /// only the tuples the probe kernel yields — the anchor posting list
+    /// already filtered on every bound column — so it is a deterministic
+    /// measure of join work.
     pub join_probes: u64,
     /// Aggregate group recomputations.
     pub agg_recomputes: u64,
@@ -386,12 +359,7 @@ pub struct NodeEngine {
 impl NodeEngine {
     /// Create an engine for `config.node` executing `program`.
     pub fn new(program: Arc<CompiledProgram>, config: EngineConfig) -> Self {
-        let backing = if config.columnar_storage {
-            TableBacking::Columnar
-        } else {
-            TableBacking::Row
-        };
-        let db = Database::with_backing(program.catalog.schemas().cloned(), backing);
+        let db = Database::new(program.catalog.schemas().cloned());
         NodeEngine {
             config,
             program,
@@ -519,7 +487,6 @@ impl NodeEngine {
             let ctx = EvalContext {
                 db: &self.db,
                 program: self.program.as_ref(),
-                use_join_indexes: self.config.use_join_indexes,
             };
             morsel::evaluate_tasks(
                 &ctx,
@@ -1146,22 +1113,18 @@ impl NodeEngine {
         // columns so unrelated groups are never visited.
         let mut contributions: Vec<(Value, Tuple)> = Vec::new();
         let mut probes = 0u64;
-        let bound = if self.config.use_join_indexes {
-            let mut group_bindings = Bindings::new();
-            let mut group_iter = group.iter();
-            for (idx, term) in rule.rule.head.terms.iter().enumerate() {
-                if idx == spec.agg_col {
-                    continue;
-                }
-                let value = group_iter.next();
-                if let (Term::Variable { name, .. }, Some(value)) = (term, value) {
-                    group_bindings.insert(name.clone(), value.clone());
-                }
+        let mut group_bindings = Bindings::new();
+        let mut group_iter = group.iter();
+        for (idx, term) in rule.rule.head.terms.iter().enumerate() {
+            if idx == spec.agg_col {
+                continue;
             }
-            morsel::resolve_bound_cols(&rule.aggregate_probe, &group_bindings)
-        } else {
-            Vec::new()
-        };
+            let value = group_iter.next();
+            if let (Term::Variable { name, .. }, Some(value)) = (term, value) {
+                group_bindings.insert(name.clone(), value.clone());
+            }
+        }
+        let bound = morsel::resolve_bound_cols(&rule.aggregate_probe, &group_bindings);
         if let Some(table) = self.db.table(&atom.relation) {
             for cand in table.probe(&bound) {
                 probes += 1;
@@ -1290,7 +1253,6 @@ impl NodeEngine {
             let ctx = EvalContext {
                 db: &self.db,
                 program: program.as_ref(),
-                use_join_indexes: self.config.use_join_indexes,
             };
             let mut matched: Vec<Option<Tuple>> = vec![None; rule.positive.len()];
             let mut results = Vec::new();

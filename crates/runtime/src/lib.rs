@@ -40,10 +40,10 @@ pub use error::{Result, RuntimeError};
 pub use eval::Bindings;
 pub use store::{
     base_rule_sym, normalize_for_index, tuple_materializations, Database, Derivation, Membership,
-    ProbeIter, StoredTuple, Table, TableBacking, TupleRef, BASE_RULE,
+    ProbeIter, StoredTuple, Table, TupleRef, BASE_RULE,
 };
 pub use tuple::{Delta, Tuple, TupleId};
 pub use value::{
-    dict_entry_wire_size, rule_exec_digest, shard_route, Addr, Interner, InternerSnapshot, NodeId,
-    StableHasher, Sym, Value,
+    dict_entry_wire_size, rule_exec_digest, shard_route, values_match, Addr, Interner,
+    InternerSnapshot, NodeId, StableHasher, Sym, Value,
 };

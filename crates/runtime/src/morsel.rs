@@ -71,15 +71,14 @@ pub(crate) struct Candidate {
     pub inputs: Vec<Tuple>,
 }
 
-/// A read-only view of everything rule evaluation needs: the frozen tables,
-/// the compiled program and the probe configuration. `Copy` so closures can
-/// capture it by value; all referents are shared borrows, which is exactly
-/// why a task can run on any pool thread.
+/// A read-only view of everything rule evaluation needs: the frozen tables
+/// and the compiled program. `Copy` so closures can capture it by value;
+/// all referents are shared borrows, which is exactly why a task can run on
+/// any pool thread.
 #[derive(Clone, Copy)]
 pub(crate) struct EvalContext<'a> {
     pub db: &'a Database,
     pub program: &'a CompiledProgram,
-    pub use_join_indexes: bool,
 }
 
 impl<'a> EvalContext<'a> {
@@ -164,7 +163,7 @@ impl<'a> EvalContext<'a> {
         let Some(table) = self.db.table_sym(rule.positive_syms[step.atom]) else {
             return;
         };
-        let bound = if self.use_join_indexes && step.strategy == ProbeStrategy::PostingList {
+        let bound = if step.strategy == ProbeStrategy::PostingList {
             resolve_bound_cols(&step.bound_cols, bindings)
         } else {
             Vec::new()
@@ -199,11 +198,7 @@ impl<'a> EvalContext<'a> {
         let Some(table) = self.db.table(&atom.relation) else {
             return false;
         };
-        let bound = if self.use_join_indexes {
-            resolve_bound_cols(probe_cols, bindings)
-        } else {
-            Vec::new()
-        };
+        let bound = resolve_bound_cols(probe_cols, bindings);
         // One scratch clone for the whole check instead of one per candidate.
         let mut scratch = bindings.clone();
         for cand in table.probe(&bound) {

@@ -12,33 +12,26 @@
 //! ExSPAN provenance graph records, which is why NetTrails can reuse the same
 //! machinery for both incremental maintenance and provenance.
 //!
-//! ## Storage backings
+//! ## Storage layout
 //!
-//! A [`Table`] has two interchangeable representations behind one API:
+//! A [`Table`] stores its tuples column-major in a `ColumnStore` arena: one
+//! dictionary-encoded `u32` column per `Addr`-valued attribute (the
+//! dictionary *is* the process-global intern pool, so encoding is free),
+//! plain `Vec<i64>` / `Vec<f64>` columns for numeric attributes, and a
+//! `Vec<Value>` overflow column for strings, lists and mixed-type
+//! attributes. A validity bitmap plus a slot free-list keeps physical slots
+//! stable across churn, and secondary indexes are per-column posting lists
+//! of `u32` slot numbers. Join probes verify bound columns directly against
+//! the contiguous column vectors — no per-candidate pointer chase and no
+//! per-candidate allocation (see [`tuple_materializations`]).
 //!
-//! * **Columnar** (the default): tuples live column-major in a
-//!   `ColumnStore`-shaped arena — one dictionary-encoded `u32` column per
-//!   `Addr`-valued attribute (the dictionary *is* the process-global intern
-//!   pool, so encoding is free), plain `Vec<i64>` / `Vec<f64>` columns for
-//!   numeric attributes, and a `Vec<Value>` overflow column for strings,
-//!   lists and mixed-type attributes. A validity bitmap plus a slot
-//!   free-list keeps physical slots stable across churn, and secondary
-//!   indexes are per-column posting lists of `u32` slot numbers. Join
-//!   probes verify bound columns directly against the contiguous column
-//!   vectors — no per-candidate pointer chase and no per-candidate
-//!   allocation (see [`tuple_materializations`]).
-//! * **Row** (`TableBacking::Row`): the original `BTreeMap<key,
-//!   StoredTuple>` layout, kept as the reference implementation the
-//!   equivalence proptests and the `vectorized_joins` benchmark compare the
-//!   columnar path against.
-//!
-//! Both backings answer [`Table::probe`] with **exactly the same candidate
-//! sequence**: the anchor posting list is chosen identically (first
-//! strictly-smallest among the bound columns), posting lists append on
-//! insert and compact on remove in the same order, the no-bound-column scan
-//! iterates in primary-key order, and the residual bound columns are
-//! verified with the shared [`normalize_for_index`] predicate. That is what
-//! lets the engine prove runs bit-identical across backings.
+//! [`Table::probe`] yields a deterministic candidate sequence: the anchor
+//! posting list is the first strictly-smallest among the bound columns,
+//! posting lists append on insert and compact on remove, the
+//! no-bound-column scan iterates in primary-key order, and residual bound
+//! columns are verified with the [`normalize_for_index`] predicate. That
+//! order is part of what keeps replay digests stable across runs and worker
+//! counts.
 
 use crate::catalog::RelationSchema;
 use crate::tuple::{Tuple, TupleId};
@@ -138,24 +131,13 @@ impl Membership {
     }
 }
 
-/// Which physical layout a [`Table`] stores its tuples in.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TableBacking {
-    /// Column-major slots with dictionary-encoded address columns (the
-    /// default).
-    #[default]
-    Columnar,
-    /// The row-major `BTreeMap` reference layout.
-    Row,
-}
-
 /// Normalize a value for secondary-index keys — the **single source of
-/// truth** for both the legacy row-store index keys and the columnar
-/// store's posting-list keys and dictionary-code lookups: whenever two
-/// values are equal for matching purposes they must land on the same key,
-/// or index probes would miss tuples the scan path finds.
+/// truth** for the posting-list keys and dictionary-code lookups: two values
+/// land on the same key exactly when [`values_match`] says they match, or
+/// index probes would miss tuples (or yield tuples) a linear filter would
+/// not.
 ///
-/// * The engine's `values_match` treats `Addr` and `Str` with the same text
+/// * `values_match` treats a top-level `Addr` and `Str` with the same text
 ///   as equal (programs write location constants as strings; tuples carry
 ///   addresses) → `Addr` keys become `Str`. A dictionary-encoded column
 ///   resolves the normalized text back to its pool code (without interning)
@@ -166,11 +148,18 @@ pub enum TableBacking {
 ///   equality with a saturating `Int` there is not representable anyway.)
 /// * NaNs compare equal to each other regardless of payload bits → all NaNs
 ///   share one canonical key.
-/// * Lists compare elementwise, so their elements are normalized
-///   recursively.
+/// * Lists compare elementwise under the total order, so their elements are
+///   normalized numerically; an `Addr` element stays distinct from a `Str`
+///   element, as it does for `values_match`.
 pub fn normalize_for_index(v: &Value) -> Value {
     match v {
         Value::Addr(a) => Value::Str(a.as_str().to_string()),
+        other => normalize_numeric(other),
+    }
+}
+
+fn normalize_numeric(v: &Value) -> Value {
+    match v {
         Value::Double(d) => {
             if d.is_nan() {
                 Value::Double(f64::NAN)
@@ -180,18 +169,24 @@ pub fn normalize_for_index(v: &Value) -> Value {
                 Value::Double(*d)
             }
         }
-        Value::List(l) => Value::List(l.iter().map(normalize_for_index).collect()),
+        Value::List(l) => Value::List(l.iter().map(normalize_numeric).collect()),
         other => other.clone(),
     }
 }
 
 /// Does a stored value match an already-normalized probe key? Exactly the
 /// predicate `normalize_for_index(v) == norm`, evaluated without cloning
-/// `v`. Both storage backings verify residual bound columns with this, so
-/// their probe results cannot drift apart.
+/// `v`. Probes verify residual bound columns with this, so they agree with
+/// the posting-list keys.
 fn matches_normalized(v: &Value, norm: &Value) -> bool {
     match v {
         Value::Addr(a) => matches!(norm, Value::Str(s) if a.as_str() == s),
+        other => matches_numeric(other, norm),
+    }
+}
+
+fn matches_numeric(v: &Value, norm: &Value) -> bool {
+    match v {
         Value::Double(d) => {
             if d.is_nan() {
                 matches!(norm, Value::Double(n) if n.is_nan())
@@ -204,7 +199,7 @@ fn matches_normalized(v: &Value, norm: &Value) -> bool {
         Value::List(l) => matches!(
             norm,
             Value::List(n) if l.len() == n.len()
-                && l.iter().zip(n).all(|(a, b)| matches_normalized(a, b))
+                && l.iter().zip(n).all(|(a, b)| matches_numeric(a, b))
         ),
         other => other == norm,
     }
@@ -212,7 +207,7 @@ fn matches_normalized(v: &Value, norm: &Value) -> bool {
 
 /// Process-wide count of tuples materialized out of columnar slots. Probing
 /// and column matching never materialize; only [`TupleRef::to_tuple`] /
-/// [`TupleRef::to_stored`] (and row replacement/removal bookkeeping) do.
+/// [`TupleRef::to_stored`] (and replacement/removal bookkeeping) do.
 /// The regression test for the vectorized probe kernel asserts this stays
 /// flat while candidates are scanned and filtered.
 static TUPLE_MATERIALIZATIONS: AtomicU64 = AtomicU64::new(0);
@@ -224,7 +219,7 @@ pub fn tuple_materializations() -> u64 {
 }
 
 // --------------------------------------------------------------------------
-// columnar backing
+// column store
 // --------------------------------------------------------------------------
 
 /// One attribute's storage in a columnar table. The kind is picked from the
@@ -393,7 +388,7 @@ struct ColumnStore {
     /// Per-slot relation symbol. Usually constant across the table, but the
     /// engine's outbox tables are *named* `__out::<relation>` while storing
     /// tuples of `<relation>` — the tuple's own relation is part of its
-    /// identity (row-store equality compares it), so it is kept per slot
+    /// identity (tuple equality compares it), so it is kept per slot
     /// (one dictionary code) rather than derived from the schema.
     rels: Vec<Sym>,
     /// Per-slot content-addressed tuple id (parallel to the columns).
@@ -445,8 +440,8 @@ impl ColumnStore {
         }
     }
 
-    /// Structural equality (the row store's `existing.tuple == *tuple`)
-    /// against a live slot, column by column.
+    /// Structural equality (`stored == *tuple`) against a live slot, column
+    /// by column.
     fn slot_eq_tuple(&self, slot: u32, tuple: &Tuple) -> bool {
         self.rels[slot as usize] == tuple.relation
             && tuple.values.len() == self.cols.len()
@@ -538,7 +533,7 @@ impl ColumnStore {
     }
 
     /// Rebuild the bitmap, id map and posting lists from the primary-key map
-    /// and the column arenas (key order, like the row store's rebuild).
+    /// and the column arenas (in key order).
     fn rebuild_indexes(&mut self) {
         self.live.iter_mut().for_each(|w| *w = 0);
         self.by_id.clear();
@@ -584,200 +579,83 @@ impl ColumnStore {
 }
 
 // --------------------------------------------------------------------------
-// row backing (the reference layout)
+// candidate handle
 // --------------------------------------------------------------------------
 
-/// The original row-major layout: stored tuples keyed by their primary-key
-/// projection, with id and per-column secondary indexes on the side.
-#[derive(Debug, Clone, Default)]
-struct RowStore {
-    tuples: BTreeMap<Vec<Value>, StoredTuple>,
-    by_id: HashMap<TupleId, Vec<Value>>,
-    /// value (normalized) -> ids of the tuples carrying it, per column.
-    col_indexes: Vec<HashMap<Value, Vec<TupleId>>>,
-}
-
-impl RowStore {
-    fn new(arity: usize) -> Self {
-        RowStore {
-            tuples: BTreeMap::new(),
-            by_id: HashMap::new(),
-            col_indexes: vec![HashMap::new(); arity],
-        }
-    }
-
-    fn get_by_id(&self, id: TupleId) -> Option<&StoredTuple> {
-        self.by_id.get(&id).and_then(|k| self.tuples.get(k))
-    }
-
-    fn index_tuple_values(&mut self, id: TupleId, values: &[Value]) {
-        for (col, v) in values.iter().enumerate() {
-            if let Some(index) = self.col_indexes.get_mut(col) {
-                index.entry(normalize_for_index(v)).or_default().push(id);
-            }
-        }
-    }
-
-    fn unindex_tuple_values(&mut self, id: TupleId, values: &[Value]) {
-        for (col, v) in values.iter().enumerate() {
-            if let Some(index) = self.col_indexes.get_mut(col) {
-                let key = normalize_for_index(v);
-                if let Some(ids) = index.get_mut(&key) {
-                    ids.retain(|i| *i != id);
-                    if ids.is_empty() {
-                        index.remove(&key);
-                    }
-                }
-            }
-        }
-    }
-
-    fn rebuild_indexes(&mut self, arity: usize) {
-        self.by_id = self
-            .tuples
-            .iter()
-            .map(|(k, st)| (st.tuple.id(), k.clone()))
-            .collect();
-        self.col_indexes = vec![HashMap::new(); arity];
-        let entries: Vec<(TupleId, Vec<Value>)> = self
-            .tuples
-            .values()
-            .map(|st| (st.tuple.id(), st.tuple.values.clone()))
-            .collect();
-        for (id, values) in entries {
-            self.index_tuple_values(id, &values);
-        }
-    }
-
-    /// Resident bytes: tuple and derivation records (priced like their wire
-    /// encoding) plus the posting lists (8-byte tuple-id entries — twice the
-    /// columnar layout's 4-byte slot entries).
-    fn resident_bytes(&self) -> usize {
-        self.tuples
-            .values()
-            .map(|st| {
-                st.tuple.wire_size()
-                    + st.derivations
-                        .iter()
-                        .map(Derivation::wire_size)
-                        .sum::<usize>()
-            })
-            .sum::<usize>()
-            + 8 * self
-                .col_indexes
-                .iter()
-                .flat_map(|index| index.values().map(Vec::len))
-                .sum::<usize>()
-    }
-}
-
-// --------------------------------------------------------------------------
-// shared candidate handle
-// --------------------------------------------------------------------------
-
-#[derive(Clone, Copy)]
-enum RefInner<'a> {
-    Stored(&'a StoredTuple),
-    Slot(&'a ColumnStore, u32),
-}
-
-/// A borrowed handle to one stored tuple, independent of the table's
-/// backing. Probe candidates, point lookups and table iteration all yield
+/// A borrowed handle to one stored tuple (a live slot of a table's column
+/// store). Probe candidates, point lookups and table iteration all yield
 /// `TupleRef`s; the join kernels match columns through it without
 /// materializing a `Tuple` until a candidate actually survives.
 #[derive(Clone, Copy)]
-pub struct TupleRef<'a>(RefInner<'a>);
+pub struct TupleRef<'a> {
+    store: &'a ColumnStore,
+    slot: u32,
+}
 
 impl<'a> TupleRef<'a> {
+    fn at(store: &'a ColumnStore, slot: u32) -> Self {
+        TupleRef { store, slot }
+    }
+
     /// The relation the tuple belongs to.
     pub fn relation(&self) -> Sym {
-        match self.0 {
-            RefInner::Stored(st) => st.tuple.relation,
-            RefInner::Slot(store, slot) => store.rels[slot as usize],
-        }
+        self.store.rels[self.slot as usize]
     }
 
     /// Number of attributes.
     pub fn arity(&self) -> usize {
-        match self.0 {
-            RefInner::Stored(st) => st.tuple.values.len(),
-            RefInner::Slot(store, _) => store.cols.len(),
-        }
+        self.store.cols.len()
     }
 
-    /// The content-addressed tuple identifier (precomputed for columnar
-    /// slots — no hashing).
+    /// The content-addressed tuple identifier (precomputed per slot — no
+    /// hashing).
     pub fn id(&self) -> TupleId {
-        match self.0 {
-            RefInner::Stored(st) => st.tuple.id(),
-            RefInner::Slot(store, slot) => store.ids[slot as usize],
-        }
+        self.store.ids[self.slot as usize]
     }
 
     /// The supporting derivations.
     pub fn derivations(&self) -> &'a [Derivation] {
-        match self.0 {
-            RefInner::Stored(st) => &st.derivations,
-            RefInner::Slot(store, slot) => &store.derivs[slot as usize],
-        }
+        &self.store.derivs[self.slot as usize]
     }
 
     /// Decode one attribute as an owned value (allocation-free for
     /// dictionary and numeric columns).
     pub fn value(&self, col: usize) -> Value {
-        match self.0 {
-            RefInner::Stored(st) => st.tuple.values[col].clone(),
-            RefInner::Slot(store, slot) => store.cols[col].value_at(slot as usize),
-        }
+        self.store.cols[col].value_at(self.slot as usize)
     }
 
     /// `values_match` semantics against one attribute, without
     /// materializing.
     pub fn matches(&self, col: usize, v: &Value) -> bool {
-        match self.0 {
-            RefInner::Stored(st) => values_match(v, &st.tuple.values[col]),
-            RefInner::Slot(store, slot) => store.cols[col].matches_value(slot as usize, v),
-        }
+        self.store.cols[col].matches_value(self.slot as usize, v)
     }
 
     /// Does attribute `col` match text `s` (a `Str` or `Addr` with that
     /// text)? The allocation-free equivalent of matching a string literal.
     pub fn matches_text(&self, col: usize, s: &str) -> bool {
-        match self.0 {
-            RefInner::Stored(st) => match &st.tuple.values[col] {
+        let slot = self.slot as usize;
+        match &self.store.cols[col] {
+            Column::Dict(xs) => decode_dict(xs[slot]).as_str() == s,
+            Column::Other(xs) => match &xs[slot] {
                 Value::Str(t) => t == s,
                 Value::Addr(a) => a.as_str() == s,
                 _ => false,
             },
-            RefInner::Slot(store, slot) => match &store.cols[col] {
-                Column::Dict(xs) => decode_dict(xs[slot as usize]).as_str() == s,
-                Column::Other(xs) => match &xs[slot as usize] {
-                    Value::Str(t) => t == s,
-                    Value::Addr(a) => a.as_str() == s,
-                    _ => false,
-                },
-                _ => false,
-            },
+            _ => false,
         }
     }
 
-    /// Materialize an owned tuple (for columnar slots this is the counted
-    /// materialization — see [`tuple_materializations`]).
+    /// Materialize an owned tuple (the counted materialization — see
+    /// [`tuple_materializations`]).
     pub fn to_tuple(&self) -> Tuple {
-        match self.0 {
-            RefInner::Stored(st) => st.tuple.clone(),
-            RefInner::Slot(store, slot) => store.tuple_at(slot),
-        }
+        self.store.tuple_at(self.slot)
     }
 
     /// Materialize the stored entry (tuple + derivations).
     pub fn to_stored(&self) -> StoredTuple {
-        match self.0 {
-            RefInner::Stored(st) => st.clone(),
-            RefInner::Slot(store, slot) => StoredTuple {
-                tuple: store.tuple_at(slot),
-                derivations: store.derivs[slot as usize].clone(),
-            },
+        StoredTuple {
+            tuple: self.to_tuple(),
+            derivations: self.derivations().to_vec(),
         }
     }
 }
@@ -786,7 +664,7 @@ impl<'a> TupleRef<'a> {
 // probe iterator (the vectorized kernel's cursor)
 // --------------------------------------------------------------------------
 
-/// One residual bound-column check of a columnar probe, pre-encoded so the
+/// One residual bound-column check of a probe, pre-encoded so the
 /// per-candidate work is a typed compare against a contiguous column.
 enum ColFilter {
     /// Dictionary column: compare raw codes (the probe text resolved to a
@@ -798,36 +676,20 @@ enum ColFilter {
 
 enum ProbeInner<'a> {
     Empty,
-    /// Row backing, posting-list anchored: candidate ids chase `by_id` (the
-    /// pointer-heavy baseline the columnar layout exists to replace).
-    RowIds {
-        store: &'a RowStore,
-        ids: std::slice::Iter<'a, TupleId>,
-        /// Residual bound columns as (column, normalized key).
-        filter: Vec<(usize, Value)>,
-    },
-    /// Row backing, no bound columns (or stale indexes): key-order scan.
-    RowScan {
-        values: std::collections::btree_map::Values<'a, Vec<Value>, StoredTuple>,
-        filter: Vec<(usize, Value)>,
-    },
-    /// Columnar backing, posting-list anchored: candidate slots verified
-    /// directly against the column vectors.
-    ColSlots {
+    /// Posting-list anchored: candidate slots verified directly against the
+    /// column vectors.
+    Slots {
         store: &'a ColumnStore,
         slots: std::slice::Iter<'a, u32>,
         filter: Vec<ColFilter>,
     },
-    /// Columnar backing, no bound columns: key-order scan.
-    ColScan {
-        store: &'a ColumnStore,
-        slots: std::collections::btree_map::Values<'a, Vec<Value>, u32>,
-    },
+    /// No bound columns: key-order scan.
+    Scan(TableIter<'a>),
 }
 
 /// Iterator returned by [`Table::probe`]. Yields exactly the stored tuples
-/// matching **all** bound columns, in a deterministic order that is
-/// identical across storage backings (see the module documentation).
+/// matching **all** bound columns, each once, in a deterministic order (see
+/// the module documentation).
 pub struct ProbeIter<'a>(ProbeInner<'a>);
 
 impl<'a> Iterator for ProbeIter<'a> {
@@ -836,32 +698,7 @@ impl<'a> Iterator for ProbeIter<'a> {
     fn next(&mut self) -> Option<TupleRef<'a>> {
         match &mut self.0 {
             ProbeInner::Empty => None,
-            ProbeInner::RowIds { store, ids, filter } => {
-                for id in ids.by_ref() {
-                    let Some(st) = store.get_by_id(*id) else {
-                        continue;
-                    };
-                    if filter
-                        .iter()
-                        .all(|(col, key)| matches_normalized(&st.tuple.values[*col], key))
-                    {
-                        return Some(TupleRef(RefInner::Stored(st)));
-                    }
-                }
-                None
-            }
-            ProbeInner::RowScan { values, filter } => {
-                for st in values.by_ref() {
-                    if filter
-                        .iter()
-                        .all(|(col, key)| matches_normalized(&st.tuple.values[*col], key))
-                    {
-                        return Some(TupleRef(RefInner::Stored(st)));
-                    }
-                }
-                None
-            }
-            ProbeInner::ColSlots {
+            ProbeInner::Slots {
                 store,
                 slots,
                 filter,
@@ -878,39 +715,29 @@ impl<'a> Iterator for ProbeIter<'a> {
                         }
                     });
                     if ok {
-                        return Some(TupleRef(RefInner::Slot(store, *slot)));
+                        return Some(TupleRef::at(store, *slot));
                     }
                 }
                 None
             }
-            ProbeInner::ColScan { store, slots } => slots
-                .next()
-                .map(|slot| TupleRef(RefInner::Slot(store, *slot))),
+            ProbeInner::Scan(iter) => iter.next(),
         }
     }
 }
 
 /// Iterator over a table's live tuples in primary-key order.
-pub struct TableIter<'a>(TableIterInner<'a>);
-
-enum TableIterInner<'a> {
-    Row(std::collections::btree_map::Values<'a, Vec<Value>, StoredTuple>),
-    Col {
-        store: &'a ColumnStore,
-        slots: std::collections::btree_map::Values<'a, Vec<Value>, u32>,
-    },
+pub struct TableIter<'a> {
+    store: &'a ColumnStore,
+    slots: std::collections::btree_map::Values<'a, Vec<Value>, u32>,
 }
 
 impl<'a> Iterator for TableIter<'a> {
     type Item = TupleRef<'a>;
 
     fn next(&mut self) -> Option<TupleRef<'a>> {
-        match &mut self.0 {
-            TableIterInner::Row(values) => values.next().map(|st| TupleRef(RefInner::Stored(st))),
-            TableIterInner::Col { store, slots } => slots
-                .next()
-                .map(|slot| TupleRef(RefInner::Slot(store, *slot))),
-        }
+        self.slots
+            .next()
+            .map(|slot| TupleRef::at(self.store, *slot))
     }
 }
 
@@ -918,52 +745,27 @@ impl<'a> Iterator for TableIter<'a> {
 // the table
 // --------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-enum Repr {
-    Row(RowStore),
-    Col(ColumnStore),
-}
-
-/// A single relation's storage (columnar by default; see the module
-/// documentation for the layout).
+/// A single relation's storage (see the module documentation for the
+/// layout).
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Schema of the relation.
     pub schema: RelationSchema,
-    repr: Repr,
+    store: ColumnStore,
 }
 
 impl Table {
-    /// Create an empty table with the default (columnar) backing.
+    /// Create an empty table.
     pub fn new(schema: RelationSchema) -> Self {
-        Table::with_backing(schema, TableBacking::default())
-    }
-
-    /// Create an empty table with an explicit backing.
-    pub fn with_backing(schema: RelationSchema, backing: TableBacking) -> Self {
-        let repr = match backing {
-            TableBacking::Row => Repr::Row(RowStore::new(schema.arity)),
-            TableBacking::Columnar => Repr::Col(ColumnStore::new(schema.arity)),
-        };
-        Table { schema, repr }
-    }
-
-    /// Which physical layout this table uses.
-    pub fn backing(&self) -> TableBacking {
-        match &self.repr {
-            Repr::Row(_) => TableBacking::Row,
-            Repr::Col(_) => TableBacking::Columnar,
-        }
+        let store = ColumnStore::new(schema.arity);
+        Table { schema, store }
     }
 
     /// Rebuild the secondary indexes (bitmap, id map and posting lists) from
     /// the primary data — needed after deserialization-like surgery; cheap
     /// no-op state-wise otherwise.
     pub fn rebuild_index(&mut self) {
-        match &mut self.repr {
-            Repr::Row(row) => row.rebuild_indexes(self.schema.arity),
-            Repr::Col(col) => col.rebuild_indexes(),
-        }
+        self.store.rebuild_indexes();
     }
 
     /// Iterate over the candidate tuples for a join probe with the given
@@ -975,114 +777,60 @@ impl Table {
     /// its posting index short-circuits to an empty iterator.
     pub fn probe<'a>(&'a self, bound_cols: &[(usize, Value)]) -> ProbeIter<'a> {
         if bound_cols.is_empty() {
-            return ProbeIter(match &self.repr {
-                Repr::Row(row) => ProbeInner::RowScan {
-                    values: row.tuples.values(),
-                    filter: Vec::new(),
-                },
-                Repr::Col(col) => ProbeInner::ColScan {
-                    store: col,
-                    slots: col.by_key.values(),
-                },
-            });
+            return ProbeIter(ProbeInner::Scan(self.iter()));
         }
+        let col = &self.store;
         let norm: Vec<(usize, Value)> = bound_cols
             .iter()
-            .map(|(col, v)| (*col, normalize_for_index(v)))
+            .map(|(c, v)| (*c, normalize_for_index(v)))
             .collect();
-        match &self.repr {
-            Repr::Row(row) => {
-                if row.col_indexes.len() != self.schema.arity {
-                    // Stale indexes (post-surgery): filtered key-order scan.
-                    return ProbeIter(ProbeInner::RowScan {
-                        values: row.tuples.values(),
-                        filter: norm,
-                    });
-                }
-                let mut best: Option<(usize, &Vec<TupleId>)> = None;
-                for (pos, (col, key)) in norm.iter().enumerate() {
-                    let Some(index) = row.col_indexes.get(*col) else {
-                        continue;
-                    };
-                    match index.get(key) {
-                        None => return ProbeIter(ProbeInner::Empty),
-                        Some(ids) => {
-                            if best.is_none_or(|(_, b)| ids.len() < b.len()) {
-                                best = Some((pos, ids));
-                            }
-                        }
+        let mut best: Option<(usize, &Vec<u32>)> = None;
+        for (pos, (c, key)) in norm.iter().enumerate() {
+            let Some(index) = col.postings.get(*c) else {
+                continue;
+            };
+            match index.get(key) {
+                None => return ProbeIter(ProbeInner::Empty),
+                Some(slots) => {
+                    if best.is_none_or(|(_, b)| slots.len() < b.len()) {
+                        best = Some((pos, slots));
                     }
                 }
-                let Some((anchor, ids)) = best else {
-                    return ProbeIter(ProbeInner::Empty);
-                };
-                let filter: Vec<(usize, Value)> = norm
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(pos, _)| *pos != anchor)
-                    .map(|(_, entry)| entry)
-                    .collect();
-                ProbeIter(ProbeInner::RowIds {
-                    store: row,
-                    ids: ids.iter(),
-                    filter,
-                })
-            }
-            Repr::Col(col) => {
-                let mut best: Option<(usize, &Vec<u32>)> = None;
-                for (pos, (c, key)) in norm.iter().enumerate() {
-                    let Some(index) = col.postings.get(*c) else {
-                        continue;
-                    };
-                    match index.get(key) {
-                        None => return ProbeIter(ProbeInner::Empty),
-                        Some(slots) => {
-                            if best.is_none_or(|(_, b)| slots.len() < b.len()) {
-                                best = Some((pos, slots));
-                            }
-                        }
-                    }
-                }
-                let Some((anchor, slots)) = best else {
-                    return ProbeIter(ProbeInner::Empty);
-                };
-                let mut filter = Vec::with_capacity(norm.len().saturating_sub(1));
-                for (pos, (c, key)) in norm.iter().enumerate() {
-                    if pos == anchor {
-                        continue;
-                    }
-                    match &col.cols[*c] {
-                        Column::Dict(_) => match key {
-                            Value::Str(s) => match NodeId::lookup(s) {
-                                // Text never interned ⇒ no stored address
-                                // carries it ⇒ nothing can match.
-                                None => return ProbeIter(ProbeInner::Empty),
-                                Some(n) => filter.push(ColFilter::DictCode(*c, n.index())),
-                            },
-                            // A non-text key can never equal an address.
-                            _ => return ProbeIter(ProbeInner::Empty),
-                        },
-                        _ => filter.push(ColFilter::Norm(*c, key.clone())),
-                    }
-                }
-                ProbeIter(ProbeInner::ColSlots {
-                    store: col,
-                    slots: slots.iter(),
-                    filter,
-                })
             }
         }
+        let Some((anchor, slots)) = best else {
+            return ProbeIter(ProbeInner::Empty);
+        };
+        let mut filter = Vec::with_capacity(norm.len().saturating_sub(1));
+        for (pos, (c, key)) in norm.iter().enumerate() {
+            if pos == anchor {
+                continue;
+            }
+            match &col.cols[*c] {
+                Column::Dict(_) => match key {
+                    Value::Str(s) => match NodeId::lookup(s) {
+                        // Text never interned ⇒ no stored address carries
+                        // it ⇒ nothing can match.
+                        None => return ProbeIter(ProbeInner::Empty),
+                        Some(n) => filter.push(ColFilter::DictCode(*c, n.index())),
+                    },
+                    // A non-text key can never equal an address.
+                    _ => return ProbeIter(ProbeInner::Empty),
+                },
+                _ => filter.push(ColFilter::Norm(*c, key.clone())),
+            }
+        }
+        ProbeIter(ProbeInner::Slots {
+            store: col,
+            slots: slots.iter(),
+            filter,
+        })
     }
 
     /// Look up a stored tuple by its content-addressed identifier.
     pub fn get_by_id(&self, id: TupleId) -> Option<TupleRef<'_>> {
-        match &self.repr {
-            Repr::Row(row) => row.get_by_id(id).map(|st| TupleRef(RefInner::Stored(st))),
-            Repr::Col(col) => col
-                .by_id
-                .get(&id)
-                .map(|slot| TupleRef(RefInner::Slot(col, *slot))),
-        }
+        let store = &self.store;
+        store.by_id.get(&id).map(|slot| TupleRef::at(store, *slot))
     }
 
     fn key_of(&self, tuple: &Tuple) -> Vec<Value> {
@@ -1091,10 +839,7 @@ impl Table {
 
     /// Number of stored (present) tuples.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Row(row) => row.tuples.len(),
-            Repr::Col(col) => col.live_count,
-        }
+        self.store.live_count
     }
 
     /// True when no tuple is present.
@@ -1104,42 +849,27 @@ impl Table {
 
     /// Iterate over present tuples in deterministic (key) order.
     pub fn iter(&self) -> TableIter<'_> {
-        TableIter(match &self.repr {
-            Repr::Row(row) => TableIterInner::Row(row.tuples.values()),
-            Repr::Col(col) => TableIterInner::Col {
-                store: col,
-                slots: col.by_key.values(),
-            },
-        })
+        TableIter {
+            store: &self.store,
+            slots: self.store.by_key.values(),
+        }
     }
 
     /// Look up the stored entry for an exact tuple (same key *and* same
     /// content).
     pub fn get(&self, tuple: &Tuple) -> Option<TupleRef<'_>> {
-        let key = self.key_of(tuple);
-        match &self.repr {
-            Repr::Row(row) => row
-                .tuples
-                .get(&key)
-                .filter(|st| st.tuple == *tuple)
-                .map(|st| TupleRef(RefInner::Stored(st))),
-            Repr::Col(col) => col
-                .by_key
-                .get(&key)
-                .filter(|slot| col.slot_eq_tuple(**slot, tuple))
-                .map(|slot| TupleRef(RefInner::Slot(col, *slot))),
-        }
+        let store = &self.store;
+        store
+            .by_key
+            .get(&self.key_of(tuple))
+            .filter(|slot| store.slot_eq_tuple(**slot, tuple))
+            .map(|slot| TupleRef::at(store, *slot))
     }
 
     /// Look up by primary key only.
     pub fn get_by_key(&self, key: &[Value]) -> Option<TupleRef<'_>> {
-        match &self.repr {
-            Repr::Row(row) => row.tuples.get(key).map(|st| TupleRef(RefInner::Stored(st))),
-            Repr::Col(col) => col
-                .by_key
-                .get(key)
-                .map(|slot| TupleRef(RefInner::Slot(col, *slot))),
-        }
+        let store = &self.store;
+        store.by_key.get(key).map(|slot| TupleRef::at(store, *slot))
     }
 
     /// True when the exact tuple is present.
@@ -1156,81 +886,39 @@ impl Table {
     /// implied deletion.
     pub fn add_derivation(&mut self, tuple: &Tuple, derivation: Derivation) -> Membership {
         let key = self.key_of(tuple);
-        match &mut self.repr {
-            Repr::Row(row) => match row.tuples.get_mut(&key) {
-                Some(existing) if existing.tuple == *tuple => {
-                    if existing.derivations.contains(&derivation) {
-                        Membership::Unchanged
-                    } else {
-                        existing.derivations.push(derivation);
-                        Membership::AddedDerivation
-                    }
+        let col = &mut self.store;
+        match col.by_key.get(&key).copied() {
+            Some(slot) if col.slot_eq_tuple(slot, tuple) => {
+                let derivs = &mut col.derivs[slot as usize];
+                if derivs.contains(&derivation) {
+                    Membership::Unchanged
+                } else {
+                    derivs.push(derivation);
+                    Membership::AddedDerivation
                 }
-                Some(_) => {
-                    // Key collision with different content: replace.
-                    let old = row
-                        .tuples
-                        .insert(
-                            key.clone(),
-                            StoredTuple {
-                                tuple: tuple.clone(),
-                                derivations: vec![derivation],
-                            },
-                        )
-                        .expect("entry existed");
-                    row.by_id.remove(&old.tuple.id());
-                    row.by_id.insert(tuple.id(), key);
-                    row.unindex_tuple_values(old.tuple.id(), &old.tuple.values);
-                    row.index_tuple_values(tuple.id(), &tuple.values);
-                    Membership::Replaced(old.tuple)
+            }
+            Some(slot) => {
+                // Key collision with different content: rewrite the slot in
+                // place (same physical slot, fresh id and postings — the
+                // posting lists see the new tuple appended).
+                let old = col.tuple_at(slot);
+                let old_id = col.ids[slot as usize];
+                col.unindex_slot(slot, &old.values);
+                col.by_id.remove(&old_id);
+                col.rels[slot as usize] = tuple.relation;
+                col.ids[slot as usize] = tuple.id();
+                col.derivs[slot as usize] = vec![derivation];
+                for (c, v) in col.cols.iter_mut().zip(&tuple.values) {
+                    c.write(slot as usize, v);
                 }
-                None => {
-                    row.tuples.insert(
-                        key.clone(),
-                        StoredTuple {
-                            tuple: tuple.clone(),
-                            derivations: vec![derivation],
-                        },
-                    );
-                    row.by_id.insert(tuple.id(), key);
-                    row.index_tuple_values(tuple.id(), &tuple.values);
-                    Membership::Appeared
-                }
-            },
-            Repr::Col(col) => match col.by_key.get(&key).copied() {
-                Some(slot) if col.slot_eq_tuple(slot, tuple) => {
-                    let derivs = &mut col.derivs[slot as usize];
-                    if derivs.contains(&derivation) {
-                        Membership::Unchanged
-                    } else {
-                        derivs.push(derivation);
-                        Membership::AddedDerivation
-                    }
-                }
-                Some(slot) => {
-                    // Key collision with different content: rewrite the slot
-                    // in place (same physical slot, fresh id and postings —
-                    // the posting lists see the new tuple appended, exactly
-                    // like the row store's replacement).
-                    let old = col.tuple_at(slot);
-                    let old_id = col.ids[slot as usize];
-                    col.unindex_slot(slot, &old.values);
-                    col.by_id.remove(&old_id);
-                    col.rels[slot as usize] = tuple.relation;
-                    col.ids[slot as usize] = tuple.id();
-                    col.derivs[slot as usize] = vec![derivation];
-                    for (c, v) in col.cols.iter_mut().zip(&tuple.values) {
-                        c.write(slot as usize, v);
-                    }
-                    col.by_id.insert(tuple.id(), slot);
-                    col.index_slot(slot, &tuple.values);
-                    Membership::Replaced(old)
-                }
-                None => {
-                    col.insert_row(key, tuple, vec![derivation]);
-                    Membership::Appeared
-                }
-            },
+                col.by_id.insert(tuple.id(), slot);
+                col.index_slot(slot, &tuple.values);
+                Membership::Replaced(old)
+            }
+            None => {
+                col.insert_row(key, tuple, vec![derivation]);
+                Membership::Appeared
+            }
         }
     }
 
@@ -1252,49 +940,25 @@ impl Table {
         doomed: impl Fn(&Derivation) -> bool,
     ) -> Membership {
         let key = self.key_of(tuple);
-        match &mut self.repr {
-            Repr::Row(row) => {
-                let Some(existing) = row.tuples.get_mut(&key) else {
-                    return Membership::NotFound;
-                };
-                if existing.tuple != *tuple {
-                    return Membership::NotFound;
-                }
-                let before = existing.derivations.len();
-                existing.derivations.retain(|d| !doomed(d));
-                if existing.derivations.len() == before {
-                    return Membership::NotFound;
-                }
-                if existing.derivations.is_empty() {
-                    row.tuples.remove(&key);
-                    row.by_id.remove(&tuple.id());
-                    row.unindex_tuple_values(tuple.id(), &tuple.values);
-                    Membership::Disappeared
-                } else {
-                    Membership::RemovedDerivation
-                }
-            }
-            Repr::Col(col) => {
-                let Some(slot) = col.by_key.get(&key).copied() else {
-                    return Membership::NotFound;
-                };
-                if !col.slot_eq_tuple(slot, tuple) {
-                    return Membership::NotFound;
-                }
-                let derivs = &mut col.derivs[slot as usize];
-                let before = derivs.len();
-                derivs.retain(|d| !doomed(d));
-                if derivs.len() == before {
-                    return Membership::NotFound;
-                }
-                if derivs.is_empty() {
-                    let id = col.ids[slot as usize];
-                    col.kill_slot(slot, &key, id, &tuple.values);
-                    Membership::Disappeared
-                } else {
-                    Membership::RemovedDerivation
-                }
-            }
+        let col = &mut self.store;
+        let Some(slot) = col.by_key.get(&key).copied() else {
+            return Membership::NotFound;
+        };
+        if !col.slot_eq_tuple(slot, tuple) {
+            return Membership::NotFound;
+        }
+        let derivs = &mut col.derivs[slot as usize];
+        let before = derivs.len();
+        derivs.retain(|d| !doomed(d));
+        if derivs.len() == before {
+            return Membership::NotFound;
+        }
+        if derivs.is_empty() {
+            let id = col.ids[slot as usize];
+            col.kill_slot(slot, &key, id, &tuple.values);
+            Membership::Disappeared
+        } else {
+            Membership::RemovedDerivation
         }
     }
 
@@ -1303,29 +967,18 @@ impl Table {
     /// was present.
     pub fn remove_tuple(&mut self, tuple: &Tuple) -> Option<StoredTuple> {
         let key = self.key_of(tuple);
-        match &mut self.repr {
-            Repr::Row(row) => match row.tuples.get(&key) {
-                Some(st) if st.tuple == *tuple => {
-                    row.by_id.remove(&tuple.id());
-                    row.unindex_tuple_values(tuple.id(), &tuple.values);
-                    row.tuples.remove(&key)
-                }
-                _ => None,
-            },
-            Repr::Col(col) => {
-                let slot = col.by_key.get(&key).copied()?;
-                if !col.slot_eq_tuple(slot, tuple) {
-                    return None;
-                }
-                let stored = StoredTuple {
-                    tuple: col.tuple_at(slot),
-                    derivations: std::mem::take(&mut col.derivs[slot as usize]),
-                };
-                let id = col.ids[slot as usize];
-                col.kill_slot(slot, &key, id, &tuple.values);
-                Some(stored)
-            }
+        let col = &mut self.store;
+        let slot = col.by_key.get(&key).copied()?;
+        if !col.slot_eq_tuple(slot, tuple) {
+            return None;
         }
+        let stored = StoredTuple {
+            tuple: col.tuple_at(slot),
+            derivations: std::mem::take(&mut col.derivs[slot as usize]),
+        };
+        let id = col.ids[slot as usize];
+        col.kill_slot(slot, &key, id, &tuple.values);
+        Some(stored)
     }
 
     /// All tuples currently present, cloned (snapshot order is deterministic).
@@ -1333,52 +986,31 @@ impl Table {
         self.iter().map(|r| r.to_tuple()).collect()
     }
 
-    /// Resident bytes of the table's payload under its current backing:
-    /// column vectors + slot ids + bitmap (+ derivations) for columnar,
-    /// wire-priced stored tuples for row. Reported by the
-    /// `vectorized_joins` benchmark to compare layout footprints.
+    /// Resident bytes of the table's payload: column vectors, slot ids,
+    /// bitmap, posting lists and derivations.
     pub fn storage_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Row(row) => row.resident_bytes(),
-            Repr::Col(col) => col.resident_bytes(),
-        }
-    }
-
-    /// Insert a deserialized entry (key must be vacant — used by the serde
-    /// rebuild path).
-    fn insert_stored(&mut self, stored: StoredTuple) {
-        let key = self.key_of(&stored.tuple);
-        match &mut self.repr {
-            Repr::Row(row) => {
-                row.by_id.insert(stored.tuple.id(), key.clone());
-                row.index_tuple_values(stored.tuple.id(), &stored.tuple.values);
-                row.tuples.insert(key, stored);
-            }
-            Repr::Col(col) => {
-                col.insert_row(key, &stored.tuple, stored.derivations);
-            }
-        }
+        self.store.resident_bytes()
     }
 }
 
-// A table serializes as (schema, backing, rows in key order): dictionary
-// codes and slot numbers are process-local and never leave the process —
+// A table serializes as (schema, rows in key order): dictionary codes and
+// slot numbers are process-local and never leave the process —
 // deserialization re-encodes every row, rebuilding the column arenas,
 // bitmap, free-list and posting lists from scratch.
 impl Serialize for Table {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let rows: Vec<StoredTuple> = self.iter().map(|r| r.to_stored()).collect();
-        (&self.schema, self.backing(), rows).serialize(serializer)
+        (&self.schema, rows).serialize(serializer)
     }
 }
 
 impl Deserialize for Table {
     fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let (schema, backing, rows) =
-            <(RelationSchema, TableBacking, Vec<StoredTuple>)>::deserialize(d)?;
-        let mut table = Table::with_backing(schema, backing);
+        let (schema, rows) = <(RelationSchema, Vec<StoredTuple>)>::deserialize(d)?;
+        let mut table = Table::new(schema);
         for row in rows {
-            table.insert_stored(row);
+            let key = table.key_of(&row.tuple);
+            table.store.insert_row(key, &row.tuple, row.derivations);
         }
         Ok(table)
     }
@@ -1412,42 +1044,23 @@ pub struct Database {
     /// that used it. The derived tuple ids refer to tuples stored in
     /// `tables`.
     dependents: HashMap<TupleId, HashSet<(Sym, TupleId)>>,
-    /// Backing used for tables registered on this database.
-    backing: TableBacking,
 }
 
 impl Database {
-    /// Create an empty database with the given relation schemas (columnar
-    /// tables).
+    /// Create an empty database with the given relation schemas.
     pub fn new(schemas: impl IntoIterator<Item = RelationSchema>) -> Self {
-        Database::with_backing(schemas, TableBacking::default())
-    }
-
-    /// Create an empty database whose tables use an explicit backing.
-    pub fn with_backing(
-        schemas: impl IntoIterator<Item = RelationSchema>,
-        backing: TableBacking,
-    ) -> Self {
-        let mut db = Database {
-            backing,
-            ..Database::default()
-        };
+        let mut db = Database::default();
         for s in schemas {
             db.register(s);
         }
         db
     }
 
-    /// The backing newly registered tables use.
-    pub fn backing(&self) -> TableBacking {
-        self.backing
-    }
-
     /// Register an additional relation (idempotent).
     pub fn register(&mut self, schema: RelationSchema) {
         let sym = Sym::new(&schema.name);
         if let std::collections::hash_map::Entry::Vacant(v) = self.tables.entry(sym) {
-            v.insert(Table::with_backing(schema, self.backing));
+            v.insert(Table::new(schema));
             let pos = self.order.partition_point(|s| *s < sym);
             self.order.insert(pos, sym);
         }
@@ -1540,11 +1153,6 @@ impl Database {
         stats
     }
 
-    /// Resident bytes across all tables (see [`Table::storage_bytes`]).
-    pub fn storage_bytes(&self) -> usize {
-        self.tables.values().map(Table::storage_bytes).sum()
-    }
-
     /// All tuples of a relation (empty vec when the relation is unknown).
     pub fn relation_tuples(&self, relation: &str) -> Vec<Tuple> {
         self.table(relation).map(|t| t.tuples()).unwrap_or_default()
@@ -1564,9 +1172,6 @@ impl Deserialize for Database {
     fn deserialize<'de, D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         let entries = Vec::<(Sym, Table)>::deserialize(d)?;
         let mut db = Database::default();
-        if let Some((_, table)) = entries.first() {
-            db.backing = table.backing();
-        }
         for (sym, table) in entries {
             db.order.push(sym);
             db.tables.insert(sym, table);
@@ -1595,86 +1200,74 @@ mod tests {
         Tuple::new("link", vec![Value::addr(s), Value::addr(d), Value::Int(c)])
     }
 
-    /// Run a test body against both backings.
-    fn for_both_backings(f: impl Fn(TableBacking)) {
-        f(TableBacking::Columnar);
-        f(TableBacking::Row);
-    }
-
     #[test]
     fn add_and_remove_derivations_track_membership() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
-            let tup = link("a", "b", 1);
-            let d1 = Derivation::base("a");
-            let d2 = Derivation {
-                rule: "r1".into(),
-                node: "a".into(),
-                inputs: vec![TupleId(42)],
-            };
-            assert_eq!(t.add_derivation(&tup, d1.clone()), Membership::Appeared);
-            assert_eq!(
-                t.add_derivation(&tup, d2.clone()),
-                Membership::AddedDerivation
-            );
-            // Duplicate derivations are ignored.
-            assert_eq!(t.add_derivation(&tup, d2.clone()), Membership::Unchanged);
-            assert_eq!(t.get(&tup).unwrap().derivations().len(), 2);
-            assert_eq!(t.get_by_id(tup.id()).unwrap().to_tuple(), tup);
-            assert_eq!(
-                t.remove_derivation(&tup, &d1),
-                Membership::RemovedDerivation
-            );
-            assert_eq!(t.remove_derivation(&tup, &d1), Membership::NotFound);
-            assert_eq!(t.remove_derivation(&tup, &d2), Membership::Disappeared);
-            assert!(t.is_empty());
-            assert!(t.get_by_id(tup.id()).is_none());
-        });
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        let tup = link("a", "b", 1);
+        let d1 = Derivation::base("a");
+        let d2 = Derivation {
+            rule: "r1".into(),
+            node: "a".into(),
+            inputs: vec![TupleId(42)],
+        };
+        assert_eq!(t.add_derivation(&tup, d1.clone()), Membership::Appeared);
+        assert_eq!(
+            t.add_derivation(&tup, d2.clone()),
+            Membership::AddedDerivation
+        );
+        // Duplicate derivations are ignored.
+        assert_eq!(t.add_derivation(&tup, d2.clone()), Membership::Unchanged);
+        assert_eq!(t.get(&tup).unwrap().derivations().len(), 2);
+        assert_eq!(t.get_by_id(tup.id()).unwrap().to_tuple(), tup);
+        assert_eq!(
+            t.remove_derivation(&tup, &d1),
+            Membership::RemovedDerivation
+        );
+        assert_eq!(t.remove_derivation(&tup, &d1), Membership::NotFound);
+        assert_eq!(t.remove_derivation(&tup, &d2), Membership::Disappeared);
+        assert!(t.is_empty());
+        assert!(t.get_by_id(tup.id()).is_none());
     }
 
     #[test]
     fn update_in_place_replaces_by_key() {
-        for_both_backings(|backing| {
-            // keys(1,2): the cost column is not part of the key.
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1]), backing);
-            assert_eq!(
-                t.add_derivation(&link("a", "b", 1), Derivation::base("a")),
-                Membership::Appeared
-            );
-            match t.add_derivation(&link("a", "b", 7), Derivation::base("a")) {
-                Membership::Replaced(old) => assert_eq!(old, link("a", "b", 1)),
-                other => panic!("expected replacement, got {other:?}"),
-            }
-            assert_eq!(t.len(), 1);
-            assert!(t.contains(&link("a", "b", 7)));
-            assert!(!t.contains(&link("a", "b", 1)));
-        });
+        // keys(1,2): the cost column is not part of the key.
+        let mut t = Table::new(schema("link", 3, vec![0, 1]));
+        assert_eq!(
+            t.add_derivation(&link("a", "b", 1), Derivation::base("a")),
+            Membership::Appeared
+        );
+        match t.add_derivation(&link("a", "b", 7), Derivation::base("a")) {
+            Membership::Replaced(old) => assert_eq!(old, link("a", "b", 1)),
+            other => panic!("expected replacement, got {other:?}"),
+        }
+        assert_eq!(t.len(), 1);
+        assert!(t.contains(&link("a", "b", 7)));
+        assert!(!t.contains(&link("a", "b", 1)));
     }
 
     #[test]
     fn remove_rule_derivations_only_touches_that_rule() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("cost", 3, vec![0, 1, 2]), backing);
-            let tup = link("a", "b", 4);
-            t.add_derivation(&tup, Derivation::base("a"));
-            t.add_derivation(
-                &tup,
-                Derivation {
-                    rule: "r2".into(),
-                    node: "a".into(),
-                    inputs: vec![],
-                },
-            );
-            assert_eq!(
-                t.remove_rule_derivations(&tup, "r2"),
-                Membership::RemovedDerivation
-            );
-            assert_eq!(t.remove_rule_derivations(&tup, "r2"), Membership::NotFound);
-            assert_eq!(
-                t.remove_rule_derivations(&tup, BASE_RULE),
-                Membership::Disappeared
-            );
-        });
+        let mut t = Table::new(schema("cost", 3, vec![0, 1, 2]));
+        let tup = link("a", "b", 4);
+        t.add_derivation(&tup, Derivation::base("a"));
+        t.add_derivation(
+            &tup,
+            Derivation {
+                rule: "r2".into(),
+                node: "a".into(),
+                inputs: vec![],
+            },
+        );
+        assert_eq!(
+            t.remove_rule_derivations(&tup, "r2"),
+            Membership::RemovedDerivation
+        );
+        assert_eq!(t.remove_rule_derivations(&tup, "r2"), Membership::NotFound);
+        assert_eq!(
+            t.remove_rule_derivations(&tup, BASE_RULE),
+            Membership::Disappeared
+        );
     }
 
     #[test]
@@ -1734,28 +1327,26 @@ mod tests {
 
     #[test]
     fn probe_uses_the_most_selective_index() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
-            for i in 0..10 {
-                t.add_derivation(&link("a", &format!("n{i}"), i), Derivation::base("a"));
-            }
-            t.add_derivation(&link("b", "n0", 99), Derivation::base("b"));
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        for i in 0..10 {
+            t.add_derivation(&link("a", &format!("n{i}"), i), Derivation::base("a"));
+        }
+        t.add_derivation(&link("b", "n0", 99), Derivation::base("b"));
 
-            // Column 0 = "a" matches 10 tuples; column 1 = "n3" matches 1.
-            let candidates: Vec<_> = t
-                .probe(&[(0, Value::addr("a")), (1, Value::addr("n3"))])
-                .collect();
-            assert_eq!(candidates.len(), 1);
-            assert_eq!(candidates[0].to_tuple(), link("a", "n3", 3));
+        // Column 0 = "a" matches 10 tuples; column 1 = "n3" matches 1.
+        let candidates: Vec<_> = t
+            .probe(&[(0, Value::addr("a")), (1, Value::addr("n3"))])
+            .collect();
+        assert_eq!(candidates.len(), 1);
+        assert_eq!(candidates[0].to_tuple(), link("a", "n3", 3));
 
-            // A single bound column still narrows to its posting list.
-            assert_eq!(t.probe(&[(0, Value::addr("b"))]).count(), 1);
-            // No bound columns: full scan.
-            assert_eq!(t.probe(&[]).count(), 11);
-            // A bound value absent from the index proves emptiness
-            // immediately.
-            assert_eq!(t.probe(&[(0, Value::addr("zz"))]).count(), 0);
-        });
+        // A single bound column still narrows to its posting list.
+        assert_eq!(t.probe(&[(0, Value::addr("b"))]).count(), 1);
+        // No bound columns: full scan.
+        assert_eq!(t.probe(&[]).count(), 11);
+        // A bound value absent from the index proves emptiness
+        // immediately.
+        assert_eq!(t.probe(&[(0, Value::addr("zz"))]).count(), 0);
     }
 
     #[test]
@@ -1763,96 +1354,88 @@ mod tests {
         // The probe contract: candidates match ALL bound columns, not just
         // the anchor posting list (the vectorized kernel verifies the
         // residual columns against the column vectors).
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
-            t.add_derivation(&link("a", "x", 1), Derivation::base("a"));
-            t.add_derivation(&link("a", "y", 2), Derivation::base("a"));
-            t.add_derivation(&link("b", "x", 3), Derivation::base("b"));
-            // Both columns have posting lists of length 2; only one tuple
-            // matches both.
-            let hits: Vec<_> = t
-                .probe(&[(0, Value::addr("a")), (1, Value::addr("x"))])
-                .map(|r| r.to_tuple())
-                .collect();
-            assert_eq!(hits, vec![link("a", "x", 1)]);
-            // Residual verification on a numeric column too.
-            assert_eq!(
-                t.probe(&[(0, Value::addr("a")), (2, Value::Int(2))])
-                    .count(),
-                1
-            );
-            assert_eq!(
-                t.probe(&[(0, Value::addr("a")), (2, Value::Int(3))])
-                    .count(),
-                0
-            );
-        });
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        t.add_derivation(&link("a", "x", 1), Derivation::base("a"));
+        t.add_derivation(&link("a", "y", 2), Derivation::base("a"));
+        t.add_derivation(&link("b", "x", 3), Derivation::base("b"));
+        // Both columns have posting lists of length 2; only one tuple
+        // matches both.
+        let hits: Vec<_> = t
+            .probe(&[(0, Value::addr("a")), (1, Value::addr("x"))])
+            .map(|r| r.to_tuple())
+            .collect();
+        assert_eq!(hits, vec![link("a", "x", 1)]);
+        // Residual verification on a numeric column too.
+        assert_eq!(
+            t.probe(&[(0, Value::addr("a")), (2, Value::Int(2))])
+                .count(),
+            1
+        );
+        assert_eq!(
+            t.probe(&[(0, Value::addr("a")), (2, Value::Int(3))])
+                .count(),
+            0
+        );
     }
 
     #[test]
     fn probe_matches_addr_and_str_interchangeably() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
-            t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
-            // Tuples carry Addr values; programs may probe with Str
-            // constants.
-            assert_eq!(t.probe(&[(0, Value::str("a"))]).count(), 1);
-            assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 1);
-            // Str probes also verify as residual columns against the
-            // dictionary-encoded column.
-            assert_eq!(
-                t.probe(&[(0, Value::str("a")), (1, Value::str("b"))])
-                    .count(),
-                1
-            );
-        });
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
+        // Tuples carry Addr values; programs may probe with Str
+        // constants.
+        assert_eq!(t.probe(&[(0, Value::str("a"))]).count(), 1);
+        assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 1);
+        // Str probes also verify as residual columns against the
+        // dictionary-encoded column.
+        assert_eq!(
+            t.probe(&[(0, Value::str("a")), (1, Value::str("b"))])
+                .count(),
+            1
+        );
     }
 
     #[test]
     fn probe_matches_int_and_double_interchangeably() {
-        for_both_backings(|backing| {
-            // Value's total order equates Int(2) and Double(2.0); the index
-            // must agree with the scan path on such cross-type matches.
-            let mut t = Table::with_backing(schema("cost", 3, vec![0, 1, 2]), backing);
-            t.add_derivation(&link("a", "b", 2), Derivation::base("a"));
-            let double_tuple = Tuple::new(
-                "cost",
-                vec![Value::addr("a"), Value::addr("c"), Value::Double(3.0)],
-            );
-            t.add_derivation(&double_tuple, Derivation::base("a"));
+        // Value's total order equates Int(2) and Double(2.0); the index
+        // must agree with the scan path on such cross-type matches.
+        let mut t = Table::new(schema("cost", 3, vec![0, 1, 2]));
+        t.add_derivation(&link("a", "b", 2), Derivation::base("a"));
+        let double_tuple = Tuple::new(
+            "cost",
+            vec![Value::addr("a"), Value::addr("c"), Value::Double(3.0)],
+        );
+        t.add_derivation(&double_tuple, Derivation::base("a"));
 
-            // Stored Int probed with an equal Double, and vice versa.
-            assert_eq!(t.probe(&[(2, Value::Double(2.0))]).count(), 1);
-            assert_eq!(t.probe(&[(2, Value::Int(3))]).count(), 1);
-            // Non-integral doubles match nothing here.
-            assert_eq!(t.probe(&[(2, Value::Double(2.5))]).count(), 0);
-            // Lists normalize their elements too.
-            let list_tuple = Tuple::new(
-                "cost",
-                vec![
-                    Value::addr("z"),
-                    Value::List(vec![Value::Double(1.0)]),
-                    Value::Int(9),
-                ],
-            );
-            t.add_derivation(&list_tuple, Derivation::base("z"));
-            assert_eq!(t.probe(&[(1, Value::List(vec![Value::Int(1)]))]).count(), 1);
-        });
+        // Stored Int probed with an equal Double, and vice versa.
+        assert_eq!(t.probe(&[(2, Value::Double(2.0))]).count(), 1);
+        assert_eq!(t.probe(&[(2, Value::Int(3))]).count(), 1);
+        // Non-integral doubles match nothing here.
+        assert_eq!(t.probe(&[(2, Value::Double(2.5))]).count(), 0);
+        // Lists normalize their elements too.
+        let list_tuple = Tuple::new(
+            "cost",
+            vec![
+                Value::addr("z"),
+                Value::List(vec![Value::Double(1.0)]),
+                Value::Int(9),
+            ],
+        );
+        t.add_derivation(&list_tuple, Derivation::base("z"));
+        assert_eq!(t.probe(&[(1, Value::List(vec![Value::Int(1)]))]).count(), 1);
     }
 
     #[test]
     fn indexes_track_removals_and_replacements() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1]), backing);
-            t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
-            // Update-in-place: cost column changes, index entries must
-            // follow.
-            t.add_derivation(&link("a", "b", 7), Derivation::base("a"));
-            assert_eq!(t.probe(&[(2, Value::Int(7))]).count(), 1);
-            assert_eq!(t.probe(&[(2, Value::Int(1))]).count(), 0);
-            t.remove_derivation(&link("a", "b", 7), &Derivation::base("a"));
-            assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 0);
-        });
+        let mut t = Table::new(schema("link", 3, vec![0, 1]));
+        t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
+        // Update-in-place: cost column changes, index entries must
+        // follow.
+        t.add_derivation(&link("a", "b", 7), Derivation::base("a"));
+        assert_eq!(t.probe(&[(2, Value::Int(7))]).count(), 1);
+        assert_eq!(t.probe(&[(2, Value::Int(1))]).count(), 0);
+        t.remove_derivation(&link("a", "b", 7), &Derivation::base("a"));
+        assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 0);
     }
 
     #[test]
@@ -1867,14 +1450,9 @@ mod tests {
         // Re-inserting reuses dead slots: the physical arena stays at 4.
         t.add_derivation(&link("b", "m1", 10), Derivation::base("b"));
         t.add_derivation(&link("b", "m2", 11), Derivation::base("b"));
-        match &t.repr {
-            Repr::Col(col) => {
-                assert_eq!(col.ids.len(), 4, "free slots were not reused");
-                assert_eq!(col.live_count, 4);
-                assert!(col.free.is_empty());
-            }
-            Repr::Row(_) => unreachable!("default backing is columnar"),
-        }
+        assert_eq!(t.store.ids.len(), 4, "free slots were not reused");
+        assert_eq!(t.store.live_count, 4);
+        assert!(t.store.free.is_empty());
         assert_eq!(t.probe(&[(0, Value::addr("b"))]).count(), 2);
         assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 2);
     }
@@ -1931,116 +1509,102 @@ mod tests {
 
     #[test]
     fn rebuild_index_restores_probing() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1, 2]), backing);
-            t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
-            t.add_derivation(&link("a", "c", 2), Derivation::base("a"));
-            // Wreck the secondary structures, then rebuild.
-            match &mut t.repr {
-                Repr::Row(row) => {
-                    row.by_id.clear();
-                    row.col_indexes.clear();
-                    // Stale row indexes degrade to a (filtered) scan rather
-                    // than missing tuples.
-                    assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 2);
-                }
-                Repr::Col(col) => {
-                    col.by_id.clear();
-                    col.postings = vec![HashMap::new(); 3];
-                    col.live.iter_mut().for_each(|w| *w = 0);
-                }
-            }
-            t.rebuild_index();
-            assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 2);
-            assert_eq!(t.probe(&[(1, Value::addr("b"))]).count(), 1);
-            assert_eq!(
-                t.get_by_id(link("a", "b", 1).id()).unwrap().to_tuple(),
-                link("a", "b", 1)
-            );
-        });
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        t.add_derivation(&link("a", "b", 1), Derivation::base("a"));
+        t.add_derivation(&link("a", "c", 2), Derivation::base("a"));
+        // Wreck the secondary structures, then rebuild.
+        t.store.by_id.clear();
+        t.store.postings = vec![HashMap::new(); 3];
+        t.store.live.iter_mut().for_each(|w| *w = 0);
+        t.rebuild_index();
+        assert_eq!(t.probe(&[(0, Value::addr("a"))]).count(), 2);
+        assert_eq!(t.probe(&[(1, Value::addr("b"))]).count(), 1);
+        assert_eq!(
+            t.get_by_id(link("a", "b", 1).id()).unwrap().to_tuple(),
+            link("a", "b", 1)
+        );
     }
 
     #[test]
     fn serde_round_trip_rebuilds_column_arenas_and_probes_identically() {
-        for_both_backings(|backing| {
-            let mut t = Table::with_backing(schema("link", 3, vec![0, 1]), backing);
-            for i in 0..8 {
-                t.add_derivation(&link("a", &format!("n{i}"), i), Derivation::base("a"));
-            }
-            // Churn: removals punch holes, a replacement rewrites a slot.
-            t.remove_derivation(&link("a", "n2", 2), &Derivation::base("a"));
-            t.add_derivation(&link("a", "n5", 50), Derivation::base("a"));
-            t.add_derivation(
-                &Tuple::new(
-                    "link",
-                    vec![Value::addr("b"), Value::str("s"), Value::Double(4.0)],
-                ),
-                Derivation::base("b"),
-            );
+        let mut t = Table::new(schema("link", 3, vec![0, 1]));
+        for i in 0..8 {
+            t.add_derivation(&link("a", &format!("n{i}"), i), Derivation::base("a"));
+        }
+        // Churn: removals punch holes, a replacement rewrites a slot.
+        t.remove_derivation(&link("a", "n2", 2), &Derivation::base("a"));
+        t.add_derivation(&link("a", "n5", 50), Derivation::base("a"));
+        t.add_derivation(
+            &Tuple::new(
+                "link",
+                vec![Value::addr("b"), Value::str("s"), Value::Double(4.0)],
+            ),
+            Derivation::base("b"),
+        );
 
-            let json = serde_json::to_string(&t).expect("table serializes");
-            let restored: Table = serde_json::from_str(&json).expect("table deserializes");
-            assert_eq!(restored.backing(), backing);
-            assert_eq!(restored.len(), t.len());
+        let json = serde_json::to_string(&t).expect("table serializes");
+        let restored: Table = serde_json::from_str(&json).expect("table deserializes");
+        assert_eq!(restored.len(), t.len());
 
-            // Identical contents, key order and derivations.
-            let dump = |t: &Table| -> Vec<(String, usize)> {
-                t.iter()
-                    .map(|r| (r.to_tuple().to_string(), r.derivations().len()))
-                    .collect()
-            };
-            assert_eq!(dump(&restored), dump(&t));
+        // Identical contents, key order and derivations.
+        let dump = |t: &Table| -> Vec<(String, usize)> {
+            t.iter()
+                .map(|r| (r.to_tuple().to_string(), r.derivations().len()))
+                .collect()
+        };
+        assert_eq!(dump(&restored), dump(&t));
 
-            // A round trip is an index rebuild: posting lists come back in
-            // canonical key order (the churned table had the replacement
-            // appended last). Rebuild the original the same way, then every
-            // probe must answer identically through the reconstructed
-            // arenas, bitmap and posting lists — including normalized
-            // cross-type keys.
-            t.rebuild_index();
-            let probes: Vec<Vec<(usize, Value)>> = vec![
-                vec![(0, Value::addr("a"))],
-                vec![(0, Value::str("a"))],
-                vec![(1, Value::addr("n5"))],
-                vec![(0, Value::addr("a")), (2, Value::Int(3))],
-                vec![(2, Value::Int(4))],
-                vec![(2, Value::Double(3.0))],
-                vec![],
-            ];
-            for bound in &probes {
-                let a: Vec<String> = t.probe(bound).map(|r| r.to_tuple().to_string()).collect();
-                let b: Vec<String> = restored
-                    .probe(bound)
-                    .map(|r| r.to_tuple().to_string())
-                    .collect();
-                assert_eq!(a, b, "probe {bound:?} diverged after round trip");
-            }
-            // Id-addressed lookups survive the rebuild.
-            for r in t.iter() {
-                assert!(restored.get_by_id(r.id()).is_some());
-            }
-        });
+        // A round trip is an index rebuild: posting lists come back in
+        // canonical key order (the churned table had the replacement
+        // appended last). Rebuild the original the same way, then every
+        // probe must answer identically through the reconstructed
+        // arenas, bitmap and posting lists — including normalized
+        // cross-type keys.
+        t.rebuild_index();
+        let probes: Vec<Vec<(usize, Value)>> = vec![
+            vec![(0, Value::addr("a"))],
+            vec![(0, Value::str("a"))],
+            vec![(1, Value::addr("n5"))],
+            vec![(0, Value::addr("a")), (2, Value::Int(3))],
+            vec![(2, Value::Int(4))],
+            vec![(2, Value::Double(3.0))],
+            vec![],
+        ];
+        for bound in &probes {
+            let a: Vec<String> = t.probe(bound).map(|r| r.to_tuple().to_string()).collect();
+            let b: Vec<String> = restored
+                .probe(bound)
+                .map(|r| r.to_tuple().to_string())
+                .collect();
+            assert_eq!(a, b, "probe {bound:?} diverged after round trip");
+        }
+        // Id-addressed lookups survive the rebuild.
+        for r in t.iter() {
+            assert!(restored.get_by_id(r.id()).is_some());
+        }
     }
 
     #[test]
     fn storage_bytes_reflect_columnar_layout() {
-        let sch = schema("link", 3, vec![0, 1, 2]);
-        let mut col = Table::with_backing(sch.clone(), TableBacking::Columnar);
-        let mut row = Table::with_backing(sch, TableBacking::Row);
+        let mut t = Table::new(schema("link", 3, vec![0, 1, 2]));
+        let mut wire_priced = 0;
         for i in 0..32 {
-            let t = link("a", &format!("n{i}"), i);
-            col.add_derivation(&t, Derivation::base("a"));
-            row.add_derivation(&t, Derivation::base("a"));
+            let tup = link("a", &format!("n{i}"), i);
+            let d = Derivation::base("a");
+            // What a tuple-per-record layout would hold: each tuple's full
+            // wire encoding plus its derivation, and 8-byte tuple-id
+            // posting entries for each of the three columns.
+            wire_priced += tup.wire_size() + d.wire_size() + 3 * 8;
+            t.add_derivation(&tup, d);
         }
-        assert!(col.storage_bytes() > 0);
-        assert!(row.storage_bytes() > 0);
-        // Dictionary-encoded addresses are 4 bytes/slot in columnar form;
-        // the row layout prices each tuple's full wire encoding.
+        assert!(t.storage_bytes() > 0);
+        // Dictionary-encoded addresses are 4 bytes/slot in columnar form,
+        // and posting lists hold 4-byte slot numbers.
         assert!(
-            col.storage_bytes() < row.storage_bytes(),
-            "columnar {} should undercut row {} on an address-heavy relation",
-            col.storage_bytes(),
-            row.storage_bytes()
+            t.storage_bytes() < wire_priced,
+            "columnar {} should undercut wire-priced rows {} on an address-heavy relation",
+            t.storage_bytes(),
+            wire_priced
         );
     }
 }

@@ -1,193 +1,220 @@
-//! Property: the columnar table backing is *bit-identical* to the row-major
-//! reference layout. For random programs (joins, filters, assignments,
-//! negation, `min` aggregation, remote heads) and random batched
-//! insert/delete sequences, an engine storing its tables column-major must
-//! produce, run for run, exactly the same [`nt_runtime::StepOutput`] —
-//! outbox [`nt_runtime::DeltaBatch`]es including their dictionary headers,
-//! the provenance firing stream, local membership changes and the truncation
-//! flag — the same final tables with the same supporting derivations, and
-//! the same [`nt_runtime::EngineStats`] (`join_probes` included: the
-//! vectorized probe kernel must yield exactly the candidates the row store's
-//! probe yields, in the same order) as a row-backed engine, at every worker
-//! count.
+//! Property: the columnar [`Table`] behaves like a plain row store, and its
+//! probe kernel yields exactly what a linear filter yields. A random
+//! sequence of derivation inserts and deletes — mixing `Addr`/`Str` and
+//! `Int`/`Double` values that match across types, forcing column promotion,
+//! key replacement and slot recycling — is applied both to a `Table` and to
+//! a row-store model (an ordered map from primary key to tuple and
+//! derivations, independent of the column arenas). After every operation:
+//!
+//! * the table's [`Membership`] answers and its key-order iteration equal
+//!   the model's;
+//! * for random bound columns, [`Table::probe`] yields exactly the tuples
+//!   that a linear [`Table::iter`] filter with [`values_match`] keeps, each
+//!   once;
+//! * with no bound columns, `probe` yields every tuple in primary-key order.
 
 use nt_runtime::{
-    CompiledProgram, EngineConfig, EngineStats, NodeEngine, StepOutput, TableBacking, Tuple, Value,
+    values_match, Derivation, Membership, RelationSchema, Table, Tuple, TupleId, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-const PROGRAMS: &[&str] = &[
-    // Projection + two-atom join probing on the shared variables (S, B).
-    "r1 g(@S,A,B) :- e(@S,A,B).\n\
-     r2 h(@S,A,C) :- e(@S,A,B), f(@S,B,C).",
-    // Join with a constant probe column, a filter and an assignment.
-    "r1 h(@S,A,C) :- e(@S,A,B), f(@S,B,C), C < 3.\n\
-     r2 k(@S,A,D) :- e(@S,A,1), D := A + 1.",
-    // Negation: reconciliation-based maintenance.
-    "r1 miss(@S,A,B) :- e(@S,A,B), !f(@S,A,B).",
-    // Aggregation: group recomputation probed by the group key.
-    "materialize(m, infinity, infinity, keys(1,2)).\n\
-     r1 m(@S,min<B>) :- e(@S,A,B).\n\
-     r2 g(@S,A) :- e(@S,A,B), f(@S,B,A).",
-    // Three-atom chain join: the probe kernel anchored on different columns
-    // per step.
-    "r1 chain(@S,A,D) :- e(@S,A,B), f(@S,B,C), e(@S,C,D).",
-    // Remote heads: outbox tables store tuples of the *head* relation under
-    // a `__out::` table name — the columnar per-slot relation must preserve
-    // that distinction or retractions stop shipping.
-    "r1 ship(@D,A,B) :- e(@S,A,B), peer(@S,D).\n\
-     r2 h(@S,A,C) :- e(@S,A,B), f(@S,B,C).",
-];
+const ARITY: usize = 3;
 
-/// One operation: insert (true) or delete (false) a fact of `e` or `f`.
-type Op = (bool, bool, i64, i64, bool);
-
-fn fact(relation: &str, a: i64, b: i64, b_double: bool) -> Tuple {
-    let b_value = if b_double {
-        Value::Double(b as f64)
-    } else {
-        Value::Int(b)
-    };
-    Tuple::new(relation, vec![Value::addr("n1"), Value::Int(a), b_value])
+/// The value pool: every cross-type match the storage layer must honour.
+fn value_of(code: u8) -> Value {
+    match code % 19 {
+        c @ 0..=2 => Value::addr(["a", "b", "c"][c as usize]),
+        c @ 3..=5 => Value::str(["a", "b", "c"][c as usize - 3]),
+        c @ 6..=8 => Value::Int(c as i64 - 6),
+        c @ 9..=11 => Value::Double((c - 9) as f64),
+        12 => Value::Double(1.5),
+        13 => Value::Double(f64::NAN),
+        14 => Value::List(vec![Value::Int(1)]),
+        15 => Value::List(vec![Value::Double(1.0)]),
+        16 => Value::List(vec![Value::addr("a")]),
+        17 => Value::List(vec![Value::str("a")]),
+        _ => Value::Bool(true),
+    }
 }
 
-/// relation -> tuple -> sorted derivation debug strings.
-type TableDump = BTreeMap<String, BTreeMap<String, Vec<String>>>;
+fn tuple_of(codes: (u8, u8, u8)) -> Tuple {
+    Tuple::new(
+        "t",
+        vec![value_of(codes.0), value_of(codes.1), value_of(codes.2)],
+    )
+}
 
-/// Apply the ops in batches of `batch` deltas per run and return every run's
-/// full output, the final table dump and the engine counters.
-fn run_ops(
-    program: &Arc<CompiledProgram>,
-    config: EngineConfig,
-    ops: &[Op],
-    batch: usize,
-) -> (Vec<StepOutput>, TableDump, EngineStats) {
-    let mut engine = NodeEngine::new(program.clone(), config);
-    engine.insert_base(Tuple::new(
-        "peer",
-        vec![Value::addr("n1"), Value::addr("n2")],
-    ));
-    engine.insert_base(Tuple::new(
-        "peer",
-        vec![Value::addr("n1"), Value::addr("n3")],
-    ));
-    let mut outputs = vec![engine.run()];
-    for chunk in ops.chunks(batch.max(1)) {
-        for (insert, use_e, a, b, b_double) in chunk {
-            let tuple = fact(if *use_e { "e" } else { "f" }, *a, *b, *b_double);
-            if *insert {
-                engine.insert_base(tuple);
-            } else {
-                engine.delete_base(tuple);
+fn schema(key_cols: Vec<usize>) -> RelationSchema {
+    RelationSchema {
+        name: "t".into(),
+        arity: ARITY,
+        location_col: 0,
+        key_cols,
+        is_base: true,
+        lifetime: None,
+    }
+}
+
+/// The row-store model: primary key -> (stored tuple, derivations).
+#[derive(Default)]
+struct RowModel {
+    rows: BTreeMap<Vec<Value>, (Tuple, Vec<Derivation>)>,
+}
+
+impl RowModel {
+    fn add(&mut self, key: Vec<Value>, tuple: &Tuple, d: Derivation) -> Membership {
+        match self.rows.get_mut(&key) {
+            Some((stored, ds)) if stored == tuple => {
+                if ds.contains(&d) {
+                    Membership::Unchanged
+                } else {
+                    ds.push(d);
+                    Membership::AddedDerivation
+                }
+            }
+            Some(_) => {
+                let (old, _) = self.rows.insert(key, (tuple.clone(), vec![d])).unwrap();
+                Membership::Replaced(old)
+            }
+            None => {
+                self.rows.insert(key, (tuple.clone(), vec![d]));
+                Membership::Appeared
             }
         }
-        outputs.push(engine.run());
     }
-    let mut state = BTreeMap::new();
-    for table in engine.database().tables() {
-        let mut tuples = BTreeMap::new();
-        for stored in table.iter() {
-            let mut derivations: Vec<String> = stored
-                .derivations()
-                .iter()
-                .map(|d| format!("{d:?}"))
-                .collect();
-            derivations.sort();
-            tuples.insert(stored.to_tuple().to_string(), derivations);
+
+    fn remove(&mut self, key: Vec<Value>, tuple: &Tuple, d: &Derivation) -> Membership {
+        let Some((stored, ds)) = self.rows.get_mut(&key) else {
+            return Membership::NotFound;
+        };
+        if stored != tuple || !ds.contains(d) {
+            return Membership::NotFound;
         }
-        state.insert(table.schema.name.clone(), tuples);
+        ds.retain(|x| x != d);
+        if ds.is_empty() {
+            self.rows.remove(&key);
+            Membership::Disappeared
+        } else {
+            Membership::RemovedDerivation
+        }
     }
-    (outputs, state, engine.stats().clone())
+}
+
+/// Check the table against the model and the probe kernel against the
+/// linear filter.
+fn check(
+    table: &Table,
+    model: &RowModel,
+    probes: &[(u8, (u8, u8, u8))],
+) -> Result<(), TestCaseError> {
+    let listed: Vec<(Tuple, Vec<Derivation>)> = table
+        .iter()
+        .map(|r| (r.to_tuple(), r.derivations().to_vec()))
+        .collect();
+    let expected: Vec<(Tuple, Vec<Derivation>)> = model.rows.values().cloned().collect();
+    prop_assert_eq!(&listed, &expected);
+    prop_assert_eq!(table.len(), model.rows.len());
+    for (tuple, _) in &expected {
+        let by_id = table.get_by_id(tuple.id()).map(|r| r.to_tuple());
+        prop_assert_eq!(by_id.as_ref(), Some(tuple));
+    }
+
+    // No bound columns: every tuple, in primary-key order.
+    let scanned: Vec<Tuple> = table.probe(&[]).map(|r| r.to_tuple()).collect();
+    let in_key_order: Vec<Tuple> = expected.iter().map(|(t, _)| t.clone()).collect();
+    prop_assert_eq!(scanned, in_key_order);
+
+    for (mask, codes) in probes {
+        let probe_values = tuple_of(*codes).values;
+        let bound: Vec<(usize, Value)> = (0..ARITY)
+            .filter(|c| mask & (1 << c) != 0)
+            .map(|c| (c, probe_values[c].clone()))
+            .collect();
+        let mut probed: Vec<TupleId> = table.probe(&bound).map(|r| r.id()).collect();
+        // The linear filter visits each stored tuple once, so equality after
+        // sorting also rules out a probe yielding a tuple twice.
+        let mut oracle: Vec<TupleId> = table
+            .iter()
+            .filter(|r| bound.iter().all(|(c, v)| values_match(v, &r.value(*c))))
+            .map(|r| r.id())
+            .collect();
+        probed.sort();
+        oracle.sort();
+        prop_assert_eq!(
+            probed,
+            oracle,
+            "probe {:?} disagrees with the linear filter",
+            bound
+        );
+    }
+    Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Columnar storage equals the row reference bit for bit: per-run
-    /// outputs, final tables and counters, at W ∈ {1, 4} (the parallel
-    /// configuration pins the dispatch threshold to 0 so every generation
-    /// takes the pool path over the columnar probe kernel).
+    /// After every insert or delete, the columnar table agrees with the
+    /// row-store model and every probe with the linear `values_match`
+    /// filter.
     #[test]
     fn columnar_matches_row_store(
-        program_idx in 0usize..6,
-        batch in 1usize..6,
+        partial_key in any::<bool>(),
         ops in proptest::collection::vec(
-            (any::<bool>(), any::<bool>(), 0i64..4, 0i64..4, any::<bool>()),
-            1..25,
+            (any::<bool>(), (0u8..19, 0u8..19, 0u8..19), 0u8..2),
+            1..40,
         ),
+        probes in proptest::collection::vec((0u8..8, (0u8..19, 0u8..19, 0u8..19)), 1..12),
     ) {
-        let program = Arc::new(
-            CompiledProgram::from_source(PROGRAMS[program_idx]).expect("pool programs compile"),
-        );
-        for workers in [1usize, 4] {
-            let mut row_config = EngineConfig::new("n1").with_row_storage();
-            let mut col_config = EngineConfig::new("n1");
-            if workers > 1 {
-                row_config = row_config
-                    .with_fixpoint_workers(workers)
-                    .with_fixpoint_dispatch_threshold(0);
-                col_config = col_config
-                    .with_fixpoint_workers(workers)
-                    .with_fixpoint_dispatch_threshold(0);
+        let key_cols = if partial_key { vec![0, 1] } else { vec![0, 1, 2] };
+        let mut table = Table::new(schema(key_cols.clone()));
+        let mut model = RowModel::default();
+        for (insert, codes, node) in &ops {
+            let tuple = tuple_of(*codes);
+            let key = tuple.project(&key_cols);
+            let d = Derivation::base(["n1", "n2"][*node as usize]);
+            if *insert {
+                let expected = model.add(key, &tuple, d.clone());
+                prop_assert_eq!(table.add_derivation(&tuple, d), expected);
+            } else {
+                let expected = model.remove(key, &tuple, &d);
+                prop_assert_eq!(table.remove_derivation(&tuple, &d), expected);
             }
-            prop_assert_eq!(col_config.columnar_storage, true);
-            prop_assert_eq!(row_config.columnar_storage, false);
-            let row = run_ops(&program, row_config, &ops, batch);
-            let col = run_ops(&program, col_config, &ops, batch);
-            prop_assert_eq!(
-                &row.0, &col.0,
-                "per-run outputs diverged between backings at W={}", workers
-            );
-            prop_assert_eq!(
-                &row.1, &col.1,
-                "final tables diverged between backings at W={}", workers
-            );
-            prop_assert_eq!(
-                &row.2, &col.2,
-                "engine stats diverged between backings at W={}", workers
-            );
+            check(&table, &model, &probes)?;
         }
     }
 
-    /// Full retraction drains every relation under the columnar backing
-    /// exactly as it does under the row backing — slot recycling through the
-    /// free list must never resurrect a tuple or strand an outbox entry.
+    /// Deleting everything that was inserted drains both the columnar table
+    /// and the row-store model, and inserting the same facts again reuses
+    /// the freed slots: the arena does not grow.
     #[test]
     fn full_retraction_drains_both_backings(
-        program_idx in 0usize..6,
-        facts in proptest::collection::vec(
-            (any::<bool>(), 0i64..4, 0i64..4, any::<bool>()),
-            1..12,
-        ),
+        facts in proptest::collection::vec((0u8..19, 0u8..19, 0u8..19), 1..20),
+        probes in proptest::collection::vec((0u8..8, (0u8..19, 0u8..19, 0u8..19)), 1..8),
     ) {
-        let program = Arc::new(
-            CompiledProgram::from_source(PROGRAMS[program_idx]).expect("pool programs compile"),
-        );
-        let mut ops: Vec<Op> = facts
-            .iter()
-            .map(|(e, a, b, d)| (true, *e, *a, *b, *d))
-            .collect();
-        ops.extend(facts.iter().map(|(e, a, b, d)| (false, *e, *a, *b, *d)));
-        for backing in [TableBacking::Columnar, TableBacking::Row] {
-            let config = match backing {
-                TableBacking::Columnar => EngineConfig::new("n1"),
-                TableBacking::Row => EngineConfig::new("n1").with_row_storage(),
-            };
-            let (_, state, _) = run_ops(&program, config, &ops, 4);
-            for (relation, tuples) in &state {
-                if relation == "peer" {
-                    continue;
-                }
-                prop_assert!(
-                    tuples.is_empty(),
-                    "relation {} still holds {} tuples after full retraction ({:?} backing)",
-                    relation,
-                    tuples.len(),
-                    backing
-                );
+        let key_cols = vec![0, 1, 2];
+        let mut table = Table::new(schema(key_cols.clone()));
+        let mut model = RowModel::default();
+        let d = Derivation::base("n1");
+        let fill = |table: &mut Table, model: &mut RowModel| {
+            for codes in &facts {
+                let tuple = tuple_of(*codes);
+                model.add(tuple.project(&key_cols), &tuple, d.clone());
+                table.add_derivation(&tuple, d.clone());
             }
+        };
+        fill(&mut table, &mut model);
+        let filled_bytes = table.storage_bytes();
+        for codes in &facts {
+            let tuple = tuple_of(*codes);
+            model.remove(tuple.project(&key_cols), &tuple, &d);
+            table.remove_derivation(&tuple, &d);
         }
+        prop_assert!(model.rows.is_empty());
+        prop_assert!(table.is_empty());
+        check(&table, &model, &probes)?;
+        fill(&mut table, &mut model);
+        check(&table, &model, &probes)?;
+        prop_assert_eq!(table.storage_bytes(), filled_bytes);
     }
 }

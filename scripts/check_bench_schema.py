@@ -38,22 +38,6 @@ fixpoint of the node engine:
 * on hosts with >= 4 cores, the W=4 run must reach a 1.2x speedup over W=1;
   single-core hosts skip that gate with a notice.
 
-The `vectorized_joins` section (format v7) gates the columnar table storage
-against the row-major reference layout:
-
-* every row — join kernel and platform convergence alike — must be
-  bit-identical across backings (`matches_row` true): same step outputs,
-  same final tables and derivations, same engine counters (`join_probes`
-  included), same provenance digest. The determinism contract is absolute,
-  on any host;
-* the gated rows (`gate_speedup` true: the W=1 join-kernel measurement)
-  must show the columnar kernel at least 1.3x faster than the row store on
-  hosts with >= 4 cores; smaller hosts skip that gate with a notice
-  (determinism still checked on every row);
-* the columnar layout must never be larger than the row layout
-  (`columnar_bytes <= row_bytes`) — dictionary-encoded columns and 4-byte
-  posting entries are the point of the exercise.
-
 The `query_fanout` section carries its own gates. Its latencies are
 *simulated-clock* measurements of message-driven query sessions, so they are
 deterministic and machine-independent:
@@ -160,16 +144,6 @@ def shape(value, depth=0):
 # fails even when committed and fresh agree — the schema requirement is
 # absolute, not merely drift-free.
 REQUIRED_SECTIONS = {
-    "delta_shipping": {
-        "scenario",
-        "messages_sent",
-        "tuples_shipped",
-        "dict_header_bytes",
-        "body_bytes",
-        "batched_total_bytes",
-        "per_tuple_total_bytes",
-        "reduction_factor",
-    },
     "sharded_provenance": {
         "scenario",
         "shards",
@@ -195,18 +169,6 @@ REQUIRED_SECTIONS = {
         "pool_workers",
         "speedup_vs_w1",
         "matches_w1",
-    },
-    "vectorized_joins": {
-        "scenario",
-        "workers",
-        "row_wall_us",
-        "columnar_wall_us",
-        "speedup_columnar",
-        "row_bytes",
-        "columnar_bytes",
-        "host_parallelism",
-        "matches_row",
-        "gate_speedup",
     },
     "query_fanout": {
         "scenario",
@@ -298,7 +260,7 @@ REQUIRED_SECTIONS = {
 }
 
 # The format marker every report must carry (bumped with the schema).
-REQUIRED_FORMAT = "nettrails-bench-results/v10"
+REQUIRED_FORMAT = "nettrails-bench-results/v11"
 
 # The log backends every snapshot_replay scenario must cover.
 REQUIRED_LOG_BACKENDS = {"mem", "segment_file", "kv"}
@@ -313,11 +275,6 @@ REQUIRED_WORKER_SWEEP = [1, 2, 4]
 MIN_FIXPOINT_FIRINGS = 100_000
 FIXPOINT_SPEEDUP_WORKERS = 4
 FIXPOINT_MIN_SPEEDUP = 1.2
-
-# Speedup gate on the columnar join kernel: the gated rows must reach this
-# factor over the row store on hosts with at least this many cores.
-VECTORIZED_MIN_SPEEDUP = 1.3
-VECTORIZED_GATE_MIN_CORES = 4
 
 # Regression tolerance for the shard-4 wall-clock: fail when the fresh run's
 # sharding overhead ratio (S=4 wall / S=1 wall, same run and machine) is more
@@ -495,55 +452,6 @@ def check_parallel_fixpoint(fresh):
     print(
         f"parallel_fixpoint gate OK ({len(rows)} rows, every worker count "
         "bit-identical to W=1)"
-    )
-
-
-def check_vectorized_joins(fresh):
-    """Regression gates on the columnar-vs-row storage comparison (see
-    module doc)."""
-    rows = fresh.get("vectorized_joins", [])
-    gated_rows = 0
-    for row in rows:
-        scenario = f"{row['scenario']} W={row['workers']}"
-        if not row["matches_row"]:
-            sys.exit(
-                f"vectorized_joins[{scenario}]: the columnar run is NOT "
-                "bit-identical to the row store (matches_row=false). The "
-                "vectorized probe kernel broke determinism."
-            )
-        if row["columnar_bytes"] > row["row_bytes"]:
-            sys.exit(
-                f"vectorized_joins[{scenario}]: columnar tables are larger "
-                f"than the row layout ({row['columnar_bytes']} > "
-                f"{row['row_bytes']} bytes). Dictionary encoding stopped "
-                "paying for itself."
-            )
-        if not row["gate_speedup"]:
-            continue
-        gated_rows += 1
-        if row["host_parallelism"] >= VECTORIZED_GATE_MIN_CORES:
-            if row["speedup_columnar"] < VECTORIZED_MIN_SPEEDUP:
-                sys.exit(
-                    f"vectorized_joins[{scenario}]: columnar speedup over "
-                    f"the row store is {row['speedup_columnar']:.2f}x on a "
-                    f"{row['host_parallelism']}-core host (gate "
-                    f"{VECTORIZED_MIN_SPEEDUP}x)."
-                )
-        else:
-            print(
-                f"vectorized_joins[{scenario}]: speedup gate skipped — host "
-                f"has {row['host_parallelism']} core(s), fewer than the "
-                f"{VECTORIZED_GATE_MIN_CORES} the gate needs (determinism "
-                "and footprint still checked on every row)."
-            )
-    if gated_rows == 0:
-        sys.exit(
-            "vectorized_joins: no gated rows (gate_speedup=true) — the join "
-            "kernel measurement is missing from the report."
-        )
-    print(
-        f"vectorized_joins gate OK ({len(rows)} rows, every backing pair "
-        "bit-identical, columnar never larger)"
     )
 
 
@@ -872,7 +780,6 @@ def main():
     check_required_sections(fresh_path, fresh)
     check_sharded_provenance(committed, fresh)
     check_parallel_fixpoint(fresh)
-    check_vectorized_joins(fresh)
     check_query_fanout(fresh)
     check_snapshot_replay(fresh)
     check_scenario_suite(committed, fresh)

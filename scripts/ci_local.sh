@@ -31,6 +31,12 @@ test_job() {
     echo "==> [test] cargo test -q --workspace"
     cargo test -q --workspace
 
+    echo "==> [test] unit tests under high thread contention (3 runs)"
+    for run in 1 2 3; do
+        echo "run $run/3"
+        cargo test -q --workspace --lib -- --test-threads=64
+    done
+
     echo "==> [test] cargo build --benches --workspace"
     cargo build --benches --workspace
 

@@ -1,12 +1,12 @@
-//! Batching-equivalence: a platform shipping per-(round, dest) delta batches
-//! must be observationally identical to one shipping one message per tuple.
+//! Batched-shipping correctness: incremental maintenance over batched delta
+//! shipping must reach exactly the state a from-scratch recomputation does.
 //!
 //! For random topologies and random link-churn sequences, pathvector and
-//! mincost runs under batched shipping reach the same fixpoint tables and an
-//! isomorphic provenance graph as per-tuple shipping (the `graph_shape`
-//! isomorphism helper mirrors `proptest_prov_equivalence.rs` in the
-//! `provenance` crate). Only the wire packaging may differ: batched runs use
-//! fewer, larger messages for the same payload bytes.
+//! mincost runs must end with the same fixpoint tables and an isomorphic
+//! provenance graph as `NetTrails::recompute_from_scratch` over the churned
+//! topology (the `graph_shape` isomorphism helper mirrors
+//! `proptest_prov_equivalence.rs` in the `provenance` crate). Batching may
+//! only coalesce the wire packaging: never more messages than records.
 
 use nettrails::{NetTrails, NetTrailsConfig};
 use proptest::prelude::*;
@@ -53,25 +53,15 @@ fn table_dump(nt: &NetTrails) -> Vec<String> {
     rows
 }
 
-fn churned_run(
-    program: &str,
-    topology: &Topology,
-    events: &[TopologyEvent],
-    config: NetTrailsConfig,
-) -> (Vec<String>, Vec<String>, u64, u64) {
-    let mut nt = NetTrails::new(program, topology.clone(), config).expect("program compiles");
+fn churned_run(program: &str, topology: &Topology, events: &[TopologyEvent]) -> NetTrails {
+    let mut nt = NetTrails::new(program, topology.clone(), NetTrailsConfig::default())
+        .expect("program compiles");
     nt.seed_links_from_topology();
     nt.run_to_fixpoint();
     for event in events {
         nt.apply_topology_event(event);
     }
-    let stats = nt.stats();
-    (
-        table_dump(&nt),
-        graph_shape(&nt.provenance_graph()),
-        stats.network.messages,
-        stats.network.records,
-    )
+    nt
 }
 
 fn topology_for(kind: usize, size: usize) -> Topology {
@@ -86,21 +76,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn batched_shipping_is_equivalent_to_per_tuple_shipping(
+    fn batched_shipping_matches_recompute_from_scratch(
         kind in 0usize..3,
         size in 0usize..6,
         program_idx in 0usize..2,
-        churn in proptest::collection::vec((0usize..8, 0usize..8), 0..4),
+        churn in proptest::collection::vec((0usize..8, 0usize..8, 0i64..4), 0..4),
     ) {
         let topology = topology_for(kind, size);
         let nodes: Vec<String> = topology.nodes().map(str::to_string).collect();
-        // Random link failures between existing nodes (no-ops when the pair
-        // has no link are fine — the platform treats them as empty events).
+        // Random link failures and cost changes between existing nodes
+        // (no-ops when the pair has no link are fine — the platform treats
+        // them as empty events).
         let events: Vec<TopologyEvent> = churn
             .into_iter()
-            .map(|(a, b)| TopologyEvent::LinkDown {
-                a: nodes[a % nodes.len()].clone(),
-                b: nodes[b % nodes.len()].clone(),
+            .map(|(a, b, cost)| {
+                let (a, b) = (nodes[a % nodes.len()].clone(), nodes[b % nodes.len()].clone());
+                if cost == 0 {
+                    TopologyEvent::LinkDown { a, b }
+                } else {
+                    TopologyEvent::CostChange { a, b, cost }
+                }
             })
             .collect();
         let program = if program_idx == 0 {
@@ -109,15 +104,16 @@ proptest! {
             protocols::pathvector::PROGRAM
         };
 
-        let (batched_tables, batched_graph, batched_msgs, batched_records) =
-            churned_run(program, &topology, &events, NetTrailsConfig::default());
-        let (pt_tables, pt_graph, pt_msgs, pt_records) =
-            churned_run(program, &topology, &events, NetTrailsConfig::without_batching());
+        let churned = churned_run(program, &topology, &events);
+        let (fresh, _) = churned.recompute_from_scratch().expect("program compiles");
 
-        prop_assert_eq!(batched_tables, pt_tables);
-        prop_assert_eq!(batched_graph, pt_graph);
-        // Same records shipped; batching may only reduce the message count.
-        prop_assert_eq!(batched_records, pt_records);
-        prop_assert!(batched_msgs <= pt_msgs);
+        prop_assert_eq!(table_dump(&churned), table_dump(&fresh));
+        prop_assert_eq!(
+            graph_shape(&churned.provenance_graph()),
+            graph_shape(&fresh.provenance_graph())
+        );
+        // Batching may only coalesce: never more messages than records.
+        let network = churned.stats().network;
+        prop_assert!(network.messages <= network.records);
     }
 }
